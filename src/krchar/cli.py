@@ -17,7 +17,6 @@ from .poset import (
     PsiSet,
     check_polytope_condition,
     check_psi_extra,
-    checked_psi,
     gamma_psi,
     i_lambda,
     psi_i,
@@ -253,7 +252,7 @@ def _run_gamma(job: JobSpec) -> tuple[int, str]:
     node = job.node if job.node is not None else i_lambda(rs, lam)
     if not 1 <= node <= rs.rank:
         raise InputError(f"node {node} out of range 1..{rs.rank}")
-    psi = checked_psi(rs, psi_i(rs, node))
+    psi = psi_i(rs, node)
     gamma = gamma_psi(rs, psi, LambdaPoint(lam, degree), job.ell)
     if job.format == "json":
         return 0, json.dumps(gamma_to_json(rs.lie_type, gamma), indent=2)
@@ -366,7 +365,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--weight", required=True, help="fundamental coordinates, e.g. 0,0,2,0,0")
     p.add_argument("--ell", type=int, default=1, help="number of grading variables")
-    p.add_argument("--mode", choices=("fixed-psi", "per-weight-psi"), default="fixed-psi")
+    p.add_argument("--mode", choices=("fixed-psi", "per-weight-psi"), default="fixed-psi",
+                   help="fixed-psi: symmetric powers, no recursion; per-weight-psi: "
+                        "alternating-sum recursion, Psi derived per inner weight")
 
     p = sub.add_parser("ext", help="Ext dimension between two graded simples")
     common(p)
@@ -422,8 +423,6 @@ def _job_from_args(args: argparse.Namespace) -> JobSpec:
         if job.j < 0:
             raise InputError(f"cohomological degree must be nonnegative, got {job.j}")
     if args.command == "tensor":
-        if len(args.weight) != 2:
-            raise InputError("tensor needs exactly two --weight arguments")
         job.weights = [parse_coords(w) for w in args.weight]
     if args.command == "psi":
         job.node = args.node

@@ -18,11 +18,9 @@ from .poset import (
     LambdaPoint,
     MultiDegree,
     PsiSet,
-    checked_psi,
     deg,
     gamma_psi,
-    i_lambda,
-    psi_i,
+    psi_lambda,
 )
 from .repchar import (
     BoundedCache,
@@ -236,10 +234,6 @@ def gch_P_direct(rs: RootSystem, ms: ModuleSpec, base: LambdaPoint,
 _gch_n0_cache = register_cache(BoundedCache())
 
 
-def _psi_for_weight(rs: RootSystem, mu: Weight) -> PsiSet:
-    return checked_psi(rs, psi_i(rs, i_lambda(rs, mu)))
-
-
 def _gch_recursive_base0(rs: RootSystem, ms: ModuleSpec, mu: Weight,
                          psi: PsiSet, ell: int, mode: str) -> GradedChar:
     """Recursive graded character based at (mu, 0) over gamma_psi(mu, 0)."""
@@ -254,7 +248,7 @@ def _gch_recursive_base0(rs: RootSystem, ms: ModuleSpec, mu: Weight,
         coeff = c_coefficient(rs, ms, mu, nu, s)
         if not coeff:
             continue
-        inner_psi = psi if mode == "fixed-psi" else _psi_for_weight(rs, nu)
+        inner_psi = psi if mode == "fixed-psi" else psi_lambda(rs, nu)
         inner = _gch_recursive_base0(rs, ms, nu, inner_psi, ell, mode)
         sign = -1 if deg(s) % 2 else 1
         out = out - (sign * coeff) * inner.shift(s)
@@ -289,7 +283,9 @@ _gch_n_cache = register_cache(BoundedCache())
 
 def gch_N(rs: RootSystem, lam, ell: int, mode: str = "fixed-psi") -> GradedChar:
     """Graded character of the generalized Kirillov-Reshetikhin module with
-    highest weight lam over ell grading variables, based at degree zero."""
+    highest weight lam over ell grading variables, based at degree zero.
+    ``fixed-psi`` reads it off symmetric powers without recursing;
+    ``per-weight-psi`` runs the recursion, deriving Psi per inner weight."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     lam = tuple(lam)
@@ -299,7 +295,7 @@ def gch_N(rs: RootSystem, lam, ell: int, mode: str = "fixed-psi") -> GradedChar:
     hit = _gch_n_cache.get(key)
     if hit is not None:
         return hit
-    psi = _psi_for_weight(rs, lam)
+    psi = psi_lambda(rs, lam)
     ms = ModuleSpec.adjoint(rs, ell)
     base = LambdaPoint(lam, (0,) * ell)
     gamma = gamma_psi(rs, psi, base, ell)

@@ -52,12 +52,12 @@ class LambdaPoint(NamedTuple):
 class PsiSet:
     """A finite set of weights, normally negatives of positive roots.
 
-    The two flags record that the face condition and the extra support
-    conditions have been verified (see :func:`checked_psi`)."""
+    ``checked`` records that the face condition and the support conditions
+    hold: :func:`psi_i` sets it on the sets it builds, :func:`checked_psi`
+    on a hand-built set once both checks pass."""
 
     elements: frozenset[Weight]
-    polytope_checked: bool = False
-    extra_checked: bool = False
+    checked: bool = False
 
     def __iter__(self):
         return iter(self.elements)
@@ -68,7 +68,8 @@ class PsiSet:
 
 def psi_i(rs: RootSystem, i: int) -> PsiSet:
     """Negatives of the positive roots whose i-th simple-root coefficient is 2
-    (node i in 1-based Bourbaki numbering)."""
+    (node i in 1-based Bourbaki numbering).  A nonempty set is the face of the
+    adjoint weight polytope minimised by omega_i, so it comes back checked."""
     if not 1 <= i <= rs.rank:
         raise ValueError(f"node {i} out of range 1..{rs.rank}")
     elements = frozenset(
@@ -76,11 +77,10 @@ def psi_i(rs: RootSystem, i: int) -> PsiSet:
         for root in rs.positive_roots
         if root.coords[i - 1] == 2
     )
-    if elements:
-        # Nonempty sets agree with the minimising face of the i-th fundamental
-        # weight against the adjoint weight polytope.
-        assert elements == psi_of_mu(rs, adjoint_char(rs), omega_weight(rs.rank, (i, 1))).elements
-    return PsiSet(elements)
+    adj = adjoint_char(rs)
+    if elements and elements != psi_of_mu(rs, adj, omega_weight(rs.rank, (i, 1))).elements:
+        raise AssertionError(f"psi_{i} is not the face minimised by omega_{i}")
+    return PsiSet(elements, checked=check_psi_extra(rs, PsiSet(elements), adj))
 
 
 def psi_of_mu(rs: RootSystem, V_weights: WeightChar, mu) -> PsiSet:
@@ -148,16 +148,18 @@ def check_psi_extra(rs: RootSystem, psi: PsiSet, V_weights: WeightChar) -> bool:
     return True
 
 
-def checked_psi(rs: RootSystem, psi: PsiSet, V_weights: WeightChar | None = None) -> PsiSet:
-    """Run both condition checks and return a flagged copy; raises when a
-    condition fails."""
-    if V_weights is None:
-        V_weights = adjoint_char(rs)
-    if not check_polytope_condition(psi, V_weights):
+def checked_psi(rs: RootSystem, psi: PsiSet) -> PsiSet:
+    """Check a hand-built set (the face condition by exact LP) and return a
+    flagged copy; raises when a condition fails.  A checked set is returned
+    unchanged."""
+    if psi.checked:
+        return psi
+    adj = adjoint_char(rs)
+    if not check_polytope_condition(psi, adj):
         raise ValueError("psi fails the weight-polytope face condition")
-    if not check_psi_extra(rs, psi, V_weights):
+    if not check_psi_extra(rs, psi, adj):
         raise ValueError("psi fails the support conditions")
-    return replace(psi, polytope_checked=True, extra_checked=True)
+    return replace(psi, checked=True)
 
 
 # -- the Psi-distance ------------------------------------------------------------
@@ -274,8 +276,7 @@ class GammaSet:
         return f"GammaSet(base={self.base}, size={len(self.points)})"
 
 
-def gamma_psi(rs: RootSystem, psi: PsiSet, base: LambdaPoint, ell: int,
-              override: bool = False) -> GammaSet:
+def gamma_psi(rs: RootSystem, psi: PsiSet, base: LambdaPoint, ell: int) -> GammaSet:
     """Enumerate every point reachable from ``base`` in the refined order.
 
     Candidate weights are the dominant weights under base.weight in the root
@@ -283,8 +284,8 @@ def gamma_psi(rs: RootSystem, psi: PsiSet, base: LambdaPoint, ell: int,
     weight are all shifts of the base degree by a vector of the matching
     total degree.
     """
-    if not (override or (psi.polytope_checked and psi.extra_checked)):
-        raise ValueError("psi conditions unverified; run checked_psi or pass override=True")
+    if not psi.checked:
+        raise ValueError("psi conditions unverified; build it with psi_i or run checked_psi")
     lam = tuple(base.weight)
     if not rs.is_dominant(lam):
         raise ValueError(f"base weight {lam} is not dominant")

@@ -221,6 +221,24 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
     assert "0/1 checks passed" in out
 
 
+def test_verify_raising_check_fails_and_suite_goes_on(monkeypatch, capsys):
+    import krchar.verify as verify_mod
+    from krchar.verify import CheckResult
+
+    def check_raises():
+        raise ValueError("bad input inside a check")
+
+    monkeypatch.setitem(
+        verify_mod.SUITES, "paper",
+        [check_raises, lambda: CheckResult("after", True)],
+    )
+    assert main(["verify", "--suite", "paper"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL check_raises  (ValueError: bad input inside a check)" in out
+    assert "PASS after" in out
+    assert "1/2 checks passed" in out
+
+
 # -- JSON round trips over the shared matrix -----------------------------------------
 
 def test_graded_json_round_trip_full_matrix():

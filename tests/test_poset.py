@@ -133,10 +133,43 @@ def test_psi_extra():
 
 
 def test_checked_psi_sets_flags():
-    psi = checked_psi(D5, psi_i(D5, 3))
-    assert psi.polytope_checked and psi.extra_checked
+    raw = PsiSet(psi_i(D5, 3).elements)
+    assert not raw.checked
+    psi = checked_psi(D5, raw)
+    assert psi.checked and psi.elements == raw.elements
+    built = psi_i(D5, 3)
+    assert checked_psi(D5, built) is built  # already checked: returned unchanged
     with pytest.raises(ValueError):
         checked_psi(A1, PsiSet(frozenset({(-2,), (0,)})))
+
+
+CLASSICAL_RANK_8 = (
+    [f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
+    + [f"C{n}" for n in range(2, 9)] + [f"D{n}" for n in range(4, 9)]
+)
+ORACLE_LABELS = (
+    [f"A{n}" for n in range(1, 6)] + [f"B{n}" for n in range(2, 6)]
+    + [f"C{n}" for n in range(2, 6)] + ["D4", "D5"]
+)
+
+
+def test_psi_i_is_checked_on_construction():
+    count = 0
+    for label in CLASSICAL_RANK_8:
+        rs = build_root_system(label)
+        for i in range(1, rs.rank + 1):
+            assert psi_i(rs, i).checked, f"{label} psi_{i}"
+            count += 1
+    assert count == 136
+
+
+@pytest.mark.parametrize("label", ORACLE_LABELS)
+def test_psi_i_passes_the_lp_oracle(label):
+    # The exact LP re-proves the face condition that psi_i has by construction.
+    rs = build_root_system(label)
+    for i in range(1, rs.rank + 1):
+        psi = psi_i(rs, i)
+        assert checked_psi(rs, PsiSet(psi.elements)) == psi
 
 
 # -- distances ---------------------------------------------------------------------
@@ -210,8 +243,8 @@ def test_leq_psi():
 def test_gamma_requires_checked_psi():
     base = LambdaPoint(omega_weight(4, (2, 2)), (0,))
     with pytest.raises(ValueError):
-        gamma_psi(D4, psi_i(D4, 2), base, 1)
-    assert len(gamma_psi(D4, psi_i(D4, 2), base, 1, override=True)) == 3
+        gamma_psi(D4, PsiSet(psi_i(D4, 2).elements), base, 1)
+    assert len(gamma_psi(D4, psi_i(D4, 2), base, 1)) == 3
 
 
 def test_gamma_empty_psi_is_singleton():
