@@ -288,7 +288,7 @@ def _run_psi(job: JobSpec) -> tuple[int, str]:
     else:
         (mu,) = job.weights
         _require_rank(rs, mu)
-        psi = psi_of_mu(rs, adjoint_char(rs), mu)
+        psi = psi_of_mu(rs, mu)
         header = f"psi({list(mu)}) for {rs.lie_type}"
     adj = adjoint_char(rs)
     polytope = check_polytope_condition(psi, adj)
@@ -334,8 +334,12 @@ _HANDLERS = {
 
 
 def run(job: JobSpec) -> tuple[int, str]:
-    """Dispatch a validated job; returns (exit code, output text)."""
-    cache_path = os.environ.get(ENV_CACHE) or job.cache_path
+    """Dispatch a validated job; returns (exit code, output text).  Only
+    ``tensor`` and ``verify`` read tensor decompositions, so only they load
+    and rewrite the persistent store."""
+    cache_path = None
+    if job.command in ("tensor", "verify"):
+        cache_path = os.environ.get(ENV_CACHE) or job.cache_path
     if cache_path:
         cache_io.cache_load(cache_path, active_tensor_cache())
     code, text = _HANDLERS[job.command](job)
@@ -354,10 +358,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, formats=True):
+    def common(p):
         p.add_argument("--algebra", required=True, help="algebra label, e.g. D5")
-        if formats:
-            p.add_argument("--format", choices=FORMATS, default="plain")
+        p.add_argument("--format", choices=FORMATS, default="plain")
+
+    def store(p):
         p.add_argument("--cache", dest="cache_path", default=None,
                        help=f"persistent multiplicity cache (or ${ENV_CACHE})")
 
@@ -386,6 +391,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tensor", help="tensor product decomposition")
     common(p)
+    store(p)
     p.add_argument("--weight", action="append", required=True,
                    help="give twice: the two dominant factors")
 
@@ -396,7 +402,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=("paper", "identities", "all"), default="all")
-    p.add_argument("--cache", dest="cache_path", default=None)
+    store(p)
 
     return parser
 

@@ -11,8 +11,6 @@ A(t) E(-t) = Id relating projective multiplicities and Ext dimensions.
 
 from __future__ import annotations
 
-from typing import Mapping
-
 from .poset import (
     GammaSet,
     LambdaPoint,
@@ -26,6 +24,7 @@ from .repchar import (
     BoundedCache,
     register_cache,
     ModuleSpec,
+    SparseChar,
     c_coefficient,
     freudenthal,
     sym_coefficient,
@@ -37,55 +36,17 @@ Entry = tuple[Weight, MultiDegree]
 MODES = ("fixed-psi", "per-weight-psi")
 
 
-class GradedChar:
+class GradedChar(SparseChar):
     """Finite integer combination of (dominant weight, multidegree) pairs:
     the isotypical form of a graded character."""
 
-    __slots__ = ("entries",)
-    __hash__ = None
-
-    def __init__(self, entries: Mapping[Entry, int] | None = None):
-        self.entries = {k: v for k, v in (entries or {}).items() if v}
-
-    def __eq__(self, other):
-        return isinstance(other, GradedChar) and self.entries == other.entries
-
-    def __bool__(self):
-        return bool(self.entries)
-
-    def __add__(self, other):
-        out = dict(self.entries)
-        for k, v in other.entries.items():
-            s = out.get(k, 0) + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return GradedChar(out)
-
-    def __sub__(self, other):
-        out = dict(self.entries)
-        for k, v in other.entries.items():
-            s = out.get(k, 0) - v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return GradedChar(out)
-
-    def __mul__(self, scalar: int):
-        return GradedChar({k: v * scalar for k, v in self.entries.items()})
-
-    __rmul__ = __mul__
+    __slots__ = ()
 
     def shift(self, r: MultiDegree) -> "GradedChar":
         """Multiply by the monomial t^r."""
         return GradedChar({
             (w, add_weights(s, r)): v for (w, s), v in self.entries.items()
         })
-
-    def is_genuine(self) -> bool:
-        return all(v > 0 for v in self.entries.values())
 
     def canonical_items(self):
         return sorted(

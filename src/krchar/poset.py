@@ -77,20 +77,17 @@ def psi_i(rs: RootSystem, i: int) -> PsiSet:
         for root in rs.positive_roots
         if root.coords[i - 1] == 2
     )
-    adj = adjoint_char(rs)
-    if elements and elements != psi_of_mu(rs, adj, omega_weight(rs.rank, (i, 1))).elements:
+    if elements and elements != psi_of_mu(rs, omega_weight(rs.rank, (i, 1))).elements:
         raise AssertionError(f"psi_{i} is not the face minimised by omega_{i}")
-    return PsiSet(elements, checked=check_psi_extra(rs, PsiSet(elements), adj))
+    return PsiSet(elements, checked=check_psi_extra(rs, PsiSet(elements), adjoint_char(rs)))
 
 
-def psi_of_mu(rs: RootSystem, V_weights: WeightChar, mu) -> PsiSet:
-    """Roots minimising the pairing with mu; only the adjoint layer is
-    supported since the minimising set is a face of its weight polytope."""
+def psi_of_mu(rs: RootSystem, mu) -> PsiSet:
+    """Roots minimising the pairing with mu: the face of the adjoint weight
+    polytope that mu minimises."""
     mu = tuple(mu)
     if not rs.is_dominant(mu) or not any(mu):
         raise ValueError(f"psi_of_mu requires a nonzero dominant weight, got {mu}")
-    if V_weights != adjoint_char(rs):
-        raise ValueError("psi_of_mu is only defined for the adjoint layer")
     pairings = {root.weight: rs.pair_root(mu, root) for root in rs.positive_roots}
     top = max(pairings.values())
     assert top > 0

@@ -1,10 +1,13 @@
 """Exact character arithmetic for the classical simple Lie algebras.
 
-Weight multiplicities come from the Freudenthal recursion, tensor products
-from the Racah-Speiser reflection algorithm, and exterior/symmetric powers
-from a generating-function DP over the weight multiset.  All intermediate
-characters may be virtual (signed); genuineness is asserted only where a
-result promises an actual module.
+Weight multiplicities come from the Freudenthal recursion and exterior/
+symmetric powers from a generating-function DP over the weight multiset.
+One Racah-Speiser reflection pass decomposes both tensor products of two
+simples and the graded Hom coefficients (a power product tensored with a
+simple); ``iso_decompose`` peels characters into simples only as an
+independent oracle for that pass.  All intermediate characters may be
+virtual (signed); genuineness is asserted only where a result promises an
+actual module.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from .rootsys import (
     RootSystem,
     Weight,
     _descend,
+    _weyl_dim_cache,
     add_weights,
     weyl_dim,
 )
@@ -66,56 +70,74 @@ class BoundedCache:
             self._data.clear()
 
 
-class WeightChar:
-    """Finite integer combination of weights (a virtual g-character).
+class SparseChar:
+    """Finite integer combination of hashable keys: the arithmetic shared by
+    the character types.
 
-    Entries with value zero are never stored.  ``*`` is the convolution
-    product (character of a tensor product) for another WeightChar and plain
-    scaling for an integer.
+    Entries with value zero are never stored.  Two combinations are equal
+    only when they have the same type and the same entries; ``*`` by an
+    integer scales every entry.
     """
 
     __slots__ = ("entries",)
     __hash__ = None
 
-    def __init__(self, entries: Mapping[Weight, int] | None = None):
-        self.entries = {w: m for w, m in (entries or {}).items() if m}
+    def __init__(self, entries: Mapping | None = None):
+        self.entries = {k: v for k, v in (entries or {}).items() if v}
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.entries == other.entries
+
+    def __bool__(self):
+        return bool(self.entries)
+
+    def _combine(self, other, sign: int):
+        out = dict(self.entries)
+        for k, v in other.entries.items():
+            s = out.get(k, 0) + sign * v
+            if s:
+                out[k] = s
+            else:
+                out.pop(k, None)
+        return type(self)(out)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
+
+    def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def __neg__(self):
+        return type(self)({k: -v for k, v in self.entries.items()})
+
+    def __mul__(self, scalar: int):
+        return type(self)({k: v * scalar for k, v in self.entries.items()})
+
+    __rmul__ = __mul__
+
+    def is_genuine(self) -> bool:
+        return all(v > 0 for v in self.entries.values())
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.entries!r})"
+
+
+class WeightChar(SparseChar):
+    """Finite integer combination of weights (a virtual g-character).
+
+    ``*`` is the convolution product (character of a tensor product) for
+    another WeightChar and plain scaling for an integer.
+    """
+
+    __slots__ = ()
 
     @classmethod
     def trivial(cls, rank: int) -> "WeightChar":
         return cls({(0,) * rank: 1})
 
-    def __eq__(self, other):
-        return isinstance(other, WeightChar) and self.entries == other.entries
-
-    def __bool__(self):
-        return bool(self.entries)
-
-    def __add__(self, other):
-        out = dict(self.entries)
-        for w, m in other.entries.items():
-            v = out.get(w, 0) + m
-            if v:
-                out[w] = v
-            else:
-                out.pop(w, None)
-        return WeightChar(out)
-
-    def __sub__(self, other):
-        out = dict(self.entries)
-        for w, m in other.entries.items():
-            v = out.get(w, 0) - m
-            if v:
-                out[w] = v
-            else:
-                out.pop(w, None)
-        return WeightChar(out)
-
-    def __neg__(self):
-        return WeightChar({w: -m for w, m in self.entries.items()})
-
     def __mul__(self, other):
         if isinstance(other, int):
-            return WeightChar({w: m * other for w, m in self.entries.items()})
+            return SparseChar.__mul__(self, other)
         out: dict[Weight, int] = {}
         for u, a in self.entries.items():
             for v, b in other.entries.items():
@@ -132,30 +154,14 @@ class WeightChar:
     def dimension(self) -> int:
         return sum(self.entries.values())
 
-    def is_genuine(self) -> bool:
-        return all(m > 0 for m in self.entries.values())
 
-    def __repr__(self):
-        return f"WeightChar({self.entries!r})"
-
-
-class IsoChar:
+class IsoChar(SparseChar):
     """Decomposition of a character into simple-module multiplicities."""
 
-    __slots__ = ("entries",)
-    __hash__ = None
-
-    def __init__(self, entries: Mapping[Weight, int] | None = None):
-        self.entries = {w: m for w, m in (entries or {}).items() if m}
-
-    def __eq__(self, other):
-        return isinstance(other, IsoChar) and self.entries == other.entries
+    __slots__ = ()
 
     def __getitem__(self, mu: Weight) -> int:
         return self.entries.get(tuple(mu), 0)
-
-    def is_genuine(self) -> bool:
-        return all(m > 0 for m in self.entries.values())
 
     def expand(self, rs: RootSystem) -> WeightChar:
         out = WeightChar()
@@ -165,9 +171,6 @@ class IsoChar:
 
     def total_dimension(self, rs: RootSystem) -> int:
         return sum(m * weyl_dim(rs, mu) for mu, m in self.entries.items())
-
-    def __repr__(self):
-        return f"IsoChar({self.entries!r})"
 
 
 @dataclass(frozen=True)
@@ -322,12 +325,36 @@ def set_active_tensor_cache(cache: TensorCache) -> TensorCache:
     return previous
 
 
+def _racah_speiser(rs: RootSystem, ch: WeightChar, lam: Weight) -> dict[Weight, int]:
+    """Simple multiplicities of M (x) V(lam), where M is the genuine module
+    with Weyl-invariant character ch (Brauer-Klimyk / Racah-Speiser).
+
+    Each weight w of ch contributes its multiplicity to V(mu), where mu + rho
+    is the dominant conjugate of lam + w + rho, with the sign of the
+    reflections taken; shifted weights on a chamber wall contribute nothing.
+    """
+    out: dict[Weight, int] = {}
+    for w, m in ch.entries.items():
+        target = tuple(b + x + 1 for b, x in zip(lam, w))
+        dom, parity, _ = _descend(rs, target)
+        if 0 in dom:
+            continue
+        mu = tuple(c - 1 for c in dom)
+        v = out.get(mu, 0) + parity * m
+        if v:
+            out[mu] = v
+        else:
+            del out[mu]
+    if any(m < 0 for m in out.values()):
+        raise AssertionError("negative multiplicity from Racah-Speiser")
+    return out
+
+
 def tensor_decompose(rs: RootSystem, lam, nu) -> IsoChar:
     """Decompose V(lam) (x) V(nu) into simple multiplicities (Racah-Speiser).
 
     The weight system of the factor with the smaller Weyl dimension is
-    iterated (ties go to nu); each shifted weight is reflected into the
-    dominant chamber with its sign, wall terms are dropped.
+    iterated (ties go to nu).
     """
     lam, nu = tuple(lam), tuple(nu)
     if not rs.is_dominant(lam) or not rs.is_dominant(nu):
@@ -341,20 +368,7 @@ def tensor_decompose(rs: RootSystem, lam, nu) -> IsoChar:
         small, big = lam, nu
     else:
         small, big = nu, lam
-    out: dict[Weight, int] = {}
-    for w, m in freudenthal(rs, small).entries.items():
-        target = tuple(b + x + 1 for b, x in zip(big, w))
-        dom, parity, _ = _descend(rs, target)
-        if 0 in dom:
-            continue
-        mu = tuple(c - 1 for c in dom)
-        v = out.get(mu, 0) + parity * m
-        if v:
-            out[mu] = v
-        else:
-            del out[mu]
-    if any(m < 0 for m in out.values()):
-        raise AssertionError("negative multiplicity from Racah-Speiser")
+    out = _racah_speiser(rs, freudenthal(rs, small), big)
     cache.count_compute()
     cache.put(key, out)
     return IsoChar(out)
@@ -414,7 +428,9 @@ def iso_decompose(rs: RootSystem, ch: WeightChar) -> IsoChar:
     """Write a Weyl-invariant character as a combination of simple characters.
 
     Extracts repeatedly at a maximal remaining weight; a maximal weight that
-    is not dominant proves the input was not Weyl-invariant.
+    is not dominant proves the input was not Weyl-invariant.  No production
+    path uses it: it is the independent oracle that ``verify`` and the tests
+    compare the Racah-Speiser results against.
     """
     rho_row = tuple(sum(row) for row in rs.gram)  # (omega_i, rho)
 
@@ -452,6 +468,7 @@ def iso_decompose(rs: RootSystem, ch: WeightChar) -> IsoChar:
 # -- graded Hom-space coefficients ----------------------------------------------
 
 _component_char_cache = register_cache(BoundedCache())
+# Holds power-product weight characters; perfbench/tracer.py reports it by its old name.
 _power_iso_cache = register_cache(BoundedCache())
 _coeff_cache = register_cache(BoundedCache())
 
@@ -469,25 +486,6 @@ def component_char(rs: RootSystem, ms: ModuleSpec, j: int) -> WeightChar:
     return hit
 
 
-def _power_product_iso(rs: RootSystem, ms: ModuleSpec, k, kind: str) -> IsoChar:
-    """Isotypical pieces of P^{k_1} V_1 (x) ... (x) P^{k_ell} V_ell where P is
-    the exterior or symmetric power functor."""
-    factors = tuple(sorted(
-        (ms.components[i], ki) for i, ki in enumerate(k) if ki
-    ))
-    key = (rs.lie_type, kind, factors)
-    hit = _power_iso_cache.get(key)
-    if hit is not None:
-        return hit
-    ch = WeightChar.trivial(rs.rank)
-    for comp, ki in factors:
-        base = component_char(rs, ModuleSpec((comp,)), 0)
-        ch = ch * _power_char(base, ki, kind)
-    iso = iso_decompose(rs, ch)
-    _power_iso_cache.put(key, iso)
-    return iso
-
-
 def _hom_coefficient(rs: RootSystem, ms: ModuleSpec, lam, mu, k, kind: str) -> int:
     lam, mu, k = tuple(lam), tuple(mu), tuple(int(x) for x in k)
     if len(k) != ms.ell:
@@ -497,16 +495,19 @@ def _hom_coefficient(rs: RootSystem, ms: ModuleSpec, lam, mu, k, kind: str) -> i
     if not rs.is_dominant(lam) or not rs.is_dominant(mu):
         raise ValueError("coefficients require dominant weights")
     factors = tuple(sorted((ms.components[i], ki) for i, ki in enumerate(k) if ki))
-    key = (rs.lie_type, kind, factors, lam, mu)
-    hit = _coeff_cache.get(key)
-    if hit is not None:
-        return hit
-    iso = _power_product_iso(rs, ms, k, kind)
-    total = 0
-    for nu, m in iso.entries.items():
-        total += m * tensor_decompose(rs, nu, lam)[mu]
-    _coeff_cache.put(key, total)
-    return total
+    product_key = (rs.lie_type, kind, factors)
+    mults = _coeff_cache.get(product_key + (lam,))
+    if mults is None:
+        ch = _power_iso_cache.get(product_key)
+        if ch is None:
+            ch = WeightChar.trivial(rs.rank)
+            for comp, ki in factors:
+                base = component_char(rs, ModuleSpec((comp,)), 0)
+                ch = ch * _power_char(base, ki, kind)
+            _power_iso_cache.put(product_key, ch)
+        mults = _racah_speiser(rs, ch, lam)
+        _coeff_cache.put(product_key + (lam,), mults)
+    return mults.get(mu, 0)
 
 
 def c_coefficient(rs: RootSystem, ms: ModuleSpec, lam, mu, k) -> int:
@@ -524,3 +525,4 @@ def clear_memo_caches() -> None:
     for cache in _cache_registry:
         cache.clear()
     _tensor_cache.clear()
+    _weyl_dim_cache.clear()

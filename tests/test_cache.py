@@ -1,13 +1,17 @@
-"""Persistent multiplicity-cache tests: round trips, corruption handling and
-the warm-cache guarantee that no tensor decomposition is recomputed."""
+"""Persistent multiplicity-cache tests: round trips, corruption handling, the
+warm-cache guarantee that no tensor decomposition is recomputed, and graded
+characters that never reach the store."""
 
 import os
 
 import pytest
 
+from krchar import repchar
 from krchar.cache import cache_load, cache_store
-from krchar.graded import gch_N
+from krchar.graded import ext_dim, gch_N
+from krchar.poset import LambdaPoint
 from krchar.repchar import (
+    ModuleSpec,
     TensorCache,
     active_tensor_cache,
     clear_memo_caches,
@@ -79,11 +83,22 @@ def test_store_is_atomic_rename(tmp_path, fresh_cache):
     assert leftovers == []
 
 
+def _tensor_sweep():
+    """Every D4 and D5 pair of weights with coordinate sum 1 (plus 2*omega_3)."""
+    out = {}
+    for label in ("D4", "D5"):
+        rs = build_root_system(label)
+        weights = [omega_weight(rs.rank, (i, 1)) for i in range(1, rs.rank + 1)]
+        weights.append(omega_weight(rs.rank, (3, 2)))
+        for a, lam in enumerate(weights):
+            for nu in weights[a:]:
+                out[(label, lam, nu)] = tensor_decompose(rs, lam, nu)
+    return out
+
+
 def test_warm_cache_avoids_all_tensor_recomputation(tmp_path, fresh_cache):
-    rs = build_root_system("D5")
-    lam = omega_weight(5, (3, 2))
-    g_cold = gch_N(rs, lam, 3)
-    assert fresh_cache.computed > 0
+    cold = _tensor_sweep()
+    assert fresh_cache.computed == len(cold)
     path = tmp_path / "mults.cache"
     cache_store(str(path), fresh_cache)
 
@@ -91,6 +106,20 @@ def test_warm_cache_avoids_all_tensor_recomputation(tmp_path, fresh_cache):
     set_active_tensor_cache(warm)
     clear_memo_caches()
     cache_load(str(path), warm)
-    g_warm = gch_N(rs, lam, 3)
+    assert _tensor_sweep() == cold  # cache only changes timing, never values
     assert warm.computed == 0  # every decomposition served from disk
-    assert g_warm == g_cold  # cache only changes timing, never values
+
+
+def test_graded_characters_bypass_iso_decompose_and_the_store(monkeypatch, fresh_cache):
+    def refuse(*args, **kwargs):
+        raise AssertionError("iso_decompose reached from a production path")
+
+    monkeypatch.setattr(repchar, "iso_decompose", refuse)
+    rs = build_root_system("D5")
+    lam = omega_weight(5, (3, 2))
+    g = gch_N(rs, lam, 3)
+    assert g.entries[((0,) * 5, (1, 1, 1))] == 1
+    ms = ModuleSpec.adjoint(rs, 2)
+    source = LambdaPoint(lam, (0, 0))
+    assert ext_dim(rs, ms, source, LambdaPoint((0,) * 5, (2, 1)), 3) == 1
+    assert fresh_cache.computed == 0

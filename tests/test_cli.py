@@ -296,6 +296,16 @@ def test_run_job_spec_directly():
     ]
 
 
+def test_gch_leaves_no_store_behind(tmp_path, monkeypatch, capsys):
+    # Only tensor and verify read tensor decompositions, so only they touch
+    # the store; gch must neither load nor write it.
+    path = tmp_path / "absent.cache"
+    monkeypatch.setenv("KRCHAR_CACHE", str(path))
+    assert main(["gch", "--algebra", "D4", "--weight", "0,2,0,0"]) == 0
+    capsys.readouterr()
+    assert not path.exists()
+
+
 def test_env_var_cache_path(tmp_path, monkeypatch, capsys):
     from krchar.repchar import TensorCache, set_active_tensor_cache
 

@@ -17,7 +17,7 @@ from krchar.graded import (
     verify_alternating_sum,
 )
 from krchar.poset import LambdaPoint, PsiSet, checked_psi, compositions, gamma_psi, psi_i
-from krchar.repchar import ModuleSpec, tensor_decompose
+from krchar.repchar import IsoChar, ModuleSpec, tensor_decompose
 from krchar.rootsys import build_root_system, omega_weight
 
 A1 = build_root_system("A1")
@@ -42,6 +42,8 @@ def test_graded_char_arithmetic():
     assert (2 * b).entries[((0,), (1,))] == 4
     assert b.shift((2,)).entries == {((1,), (2,)): 1, ((0,), (3,)): 2}
     assert b.is_genuine() and not (a - b).is_genuine()
+    assert (-b).entries == {((1,), (0,)): -1, ((0,), (1,)): -2}
+    assert a != IsoChar(a.entries)  # equal entries, different character types
 
 
 # -- ext_dim ------------------------------------------------------------------------

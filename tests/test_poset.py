@@ -22,7 +22,7 @@ from krchar.poset import (
     psi_lambda,
     psi_of_mu,
 )
-from krchar.repchar import ModuleSpec, WeightChar, adjoint_char
+from krchar.repchar import ModuleSpec, adjoint_char
 from krchar.rootsys import build_root_system, omega_weight
 
 A1 = build_root_system("A1")
@@ -65,21 +65,17 @@ def test_psi_i_node_range():
 
 
 def test_psi_of_mu_matches_psi_i():
-    adj4 = adjoint_char(D4)
-    assert psi_of_mu(D4, adj4, omega_weight(4, (2, 1))).elements == psi_i(D4, 2).elements
-    adj5 = adjoint_char(D5)
-    assert psi_of_mu(D5, adj5, omega_weight(5, (3, 1))).elements == psi_i(D5, 3).elements
+    assert psi_of_mu(D4, omega_weight(4, (2, 1))).elements == psi_i(D4, 2).elements
+    assert psi_of_mu(D5, omega_weight(5, (3, 1))).elements == psi_i(D5, 3).elements
 
 
 def test_psi_of_mu_a1():
-    assert psi_of_mu(A1, adjoint_char(A1), (1,)).elements == {(-2,)}
+    assert psi_of_mu(A1, (1,)).elements == {(-2,)}
 
 
 def test_psi_of_mu_validation():
     with pytest.raises(ValueError):
-        psi_of_mu(A1, adjoint_char(A1), (0,))
-    with pytest.raises(ValueError):
-        psi_of_mu(A1, WeightChar({(2,): 1}), (1,))
+        psi_of_mu(A1, (0,))
 
 
 def test_i_lambda():

@@ -13,6 +13,8 @@ from krchar.repchar import (
     active_tensor_cache,
     adjoint_char,
     c_coefficient,
+    clear_memo_caches,
+    component_char,
     dominant_multiplicities,
     ext_power,
     freudenthal,
@@ -22,7 +24,9 @@ from krchar.repchar import (
     sym_power,
     tensor_decompose,
 )
+from krchar.poset import LambdaPoint, gamma_psi, psi_lambda
 from krchar.rootsys import build_root_system, omega_weight, weyl_dim
+from krchar.verify import acceptance_matrix
 
 A1 = build_root_system("A1")
 D4 = build_root_system("D4")
@@ -312,12 +316,56 @@ def test_coefficients_with_unequal_components():
         assert sym_coefficient(D4, ms, zero, mu, (1, 1)) == m
 
 
+def test_coefficients_match_the_iso_decompose_route_on_the_acceptance_matrix():
+    # The superseded route to every coefficient: peel the power product into
+    # simples with iso_decompose, then tensor each simple with V(lam).  It is
+    # checked at every (lam, mu, k) that matrix_A and matrix_E evaluate, for
+    # every gamma set of the acceptance matrix.
+    peeled, old = {}, {}
+    checked = 0
+    for rs, lam0, ell in acceptance_matrix():
+        ms = ModuleSpec.adjoint(rs, ell)
+        gamma = gamma_psi(rs, psi_lambda(rs, lam0), LambdaPoint(lam0, (0,) * ell), ell)
+        for lam, r in gamma.points:
+            for mu, s in gamma.points:
+                k = tuple(b - a for a, b in zip(r, s))
+                if any(x < 0 for x in k):
+                    continue
+                for coefficient, power in ((sym_coefficient, sym_power),
+                                           (c_coefficient, ext_power)):
+                    product_key = (rs.lie_type, power, tuple(sorted(x for x in k if x)))
+                    if product_key not in peeled:
+                        ch = WeightChar.trivial(rs.rank)
+                        for j, kj in enumerate(k):
+                            if kj:
+                                ch = ch * power(component_char(rs, ms, j), kj)
+                        peeled[product_key] = iso_decompose(rs, ch)
+                    key = product_key + (lam,)
+                    if key not in old:
+                        old[key] = IsoChar()
+                        for nu, m in peeled[product_key].entries.items():
+                            old[key] = old[key] + tensor_decompose(rs, nu, lam) * m
+                    assert coefficient(rs, ms, lam, mu, k) == old[key][mu], \
+                        (rs.lie_type, lam, mu, k, coefficient.__name__)
+                    checked += 1
+    assert checked > 2000
+
+
 def test_module_spec_adjoint():
     ms = ModuleSpec.adjoint(D4, 2)
     assert ms.ell == 2
     assert ms.components[0] == (omega_weight(4, (2, 1)),)
     with pytest.raises(ValueError):
         ModuleSpec.adjoint(D4, 0)
+
+
+def test_clear_memo_caches_drops_weyl_dim_table():
+    from krchar.rootsys import _weyl_dim_cache
+
+    weyl_dim(D5, omega_weight(5, (3, 2)))
+    assert _weyl_dim_cache
+    clear_memo_caches()
+    assert not _weyl_dim_cache
 
 
 def test_bounded_cache_eviction():
