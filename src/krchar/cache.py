@@ -1,83 +1,94 @@
-"""Persistent store for tensor-product multiplicities.
-
-The on-disk format is newline-delimited: each record is the canonical key
-``family,rank|lam|nu|mu`` followed by a single integer multiplicity.  Loading
-merges into the in-memory cache; storing writes a temporary file and renames
-it into place so readers never observe a partial file.  Corrupt lines are
-skipped with a warning and never abort a run.
+"""Persistent store for tensor-product decompositions: a JSON Lines file of
+a version header and one sorted ``[family, rank, lam, nu, [[mu, m], ...]]``
+line per decomposition.  A line is loaded only if its weights are dominant
+of the type's rank, ``lam <= nu`` as ``tensor_decompose`` keys them, each mu
+appears once with a positive integer multiplicity m, and
+sum m dim V(mu) = dim V(lam) dim V(nu) holds exactly.  Any other line is
+dropped with a warning, so it is recomputed on demand; a file without the
+header is ignored with a warning.  Storing writes a temporary file and
+renames it into place, so readers never observe a partial file.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import sys
 import tempfile
 
-from .repchar import TensorCache
-from .rootsys import LieType
+from .repchar import IsoChar, TensorCache
+from .rootsys import LieType, build_root_system, weyl_dim
+
+HEADER = json.dumps({"format": "krchar-tensor-store", "version": 1})
 
 
-def _format_weight(w) -> str:
-    return ",".join(str(c) for c in w)
+def _dominant(value, rank) -> tuple[int, ...]:
+    if not (isinstance(value, list) and len(value) == rank
+            and all(type(c) is int and c >= 0 for c in value)):
+        raise ValueError(f"{value!r} is not a dominant weight of rank {rank!r}")
+    return tuple(value)
 
 
-def _parse_weight(text: str):
-    return tuple(int(tok) for tok in text.split(","))
+def _decomposition(line: bytes):
+    """The cache key and multiplicities on one stored line; raises ValueError
+    or TypeError when one of the module's line checks fails."""
+    family, rank, lam, nu, pairs = json.loads(line)
+    lam, nu = _dominant(lam, rank), _dominant(nu, rank)
+    mults = {_dominant(mu, rank): m for mu, m in pairs}
+    if (type(rank) is not int or lam > nu or len(mults) != len(pairs)
+            or not all(type(m) is int and m > 0 for m in mults.values())):
+        raise ValueError("non-integer rank, lam > nu, a repeated mu or a "
+                         "multiplicity that is not a positive integer")
+    rs = build_root_system(LieType(family, rank))
+    if IsoChar(mults).total_dimension(rs) != weyl_dim(rs, lam) * weyl_dim(rs, nu):
+        raise ValueError("sum m * dim V(mu) differs from dim V(lam) * dim V(nu)")
+    return (rs.lie_type, lam, nu), mults
 
 
 def cache_load(path: str, cache: TensorCache) -> int:
-    """Merge the records stored at ``path`` into ``cache``.
-
-    A missing file counts as an empty cache.  Returns the number of tensor
-    decompositions loaded."""
+    """Merge the checked decompositions stored at ``path`` into ``cache``; a
+    missing or empty file is an empty store.  Returns the number loaded."""
     if not os.path.exists(path):
         return 0
-    groups: dict[tuple, dict] = {}
+    loaded = 0
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
+        with open(path, "rb") as fh:
+            header = fh.readline()
+            if header and header.rstrip(b"\n") != HEADER.encode():
+                print(f"warning: ignoring multiplicity cache {path}: "
+                      f"no krchar-tensor-store version 1 header", file=sys.stderr)
+                return 0
+            for lineno, line in enumerate(fh, 2):
                 try:
-                    key_text, mult_text = line.rsplit(None, 1)
-                    algebra, lam, nu, mu = key_text.split("|")
-                    family, rank = algebra.split(",")
-                    lt = LieType(family, int(rank))
-                    key = (lt, _parse_weight(lam), _parse_weight(nu))
-                    groups.setdefault(key, {})[_parse_weight(mu)] = int(mult_text)
-                except ValueError:
-                    print(
-                        f"warning: skipping corrupt cache line {lineno} in {path}",
-                        file=sys.stderr,
-                    )
+                    key, mults = _decomposition(line)
+                except (ValueError, TypeError) as exc:
+                    print(f"warning: skipping corrupt cache line {lineno} in {path}: {exc}",
+                          file=sys.stderr)
+                    continue
+                cache.put(key, mults)
+                loaded += 1
     except OSError as exc:
         raise OSError(f"cannot read multiplicity cache {path}: {exc}") from exc
-    for key, mults in groups.items():
-        cache.put(key, mults)
-    return len(groups)
+    return loaded
 
 
 def cache_store(path: str, cache: TensorCache) -> int:
-    """Write every cached decomposition to ``path`` atomically."""
-    lines = []
-    for (lt, lam, nu), mults in cache.items():
-        prefix = f"{lt.family},{lt.rank}|{_format_weight(lam)}|{_format_weight(nu)}"
-        for mu, mult in sorted(mults.items()):
-            lines.append(f"{prefix}|{_format_weight(mu)} {mult}")
-    lines.sort()
-    directory = os.path.dirname(os.path.abspath(path))
+    """Write every cached decomposition to ``path`` atomically; returns the
+    number of decompositions written."""
+    lines = [HEADER] + [
+        json.dumps([*lt, lam, nu, sorted(mults.items())], separators=(",", ":"))
+        for (lt, lam, nu), mults in sorted(cache.items(), key=lambda item: item[0])
+    ]
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".krchar-cache-")
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                   prefix=".krchar-cache-")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write("\n".join(lines))
-                if lines:
-                    fh.write("\n")
+                fh.write("\n".join(lines) + "\n")
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
             raise
     except OSError as exc:
         raise OSError(f"cannot write multiplicity cache {path}: {exc}") from exc
-    return len(lines)
+    return len(lines) - 1

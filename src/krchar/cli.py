@@ -17,6 +17,7 @@ from .poset import (
     PsiSet,
     check_polytope_condition,
     check_psi_extra,
+    checked_psi,
     gamma_psi,
     i_lambda,
     psi_i,
@@ -137,13 +138,14 @@ def gamma_to_json(algebra: LieType, gamma: GammaSet) -> dict:
 
 
 def gamma_from_json(doc: dict) -> tuple[LieType, GammaSet]:
+    algebra = parse_lie_type(doc["algebra"])
     base = LambdaPoint(tuple(doc["base"]["weight"]), tuple(doc["base"]["degree"]))
     psi = PsiSet(frozenset(tuple(w) for w in doc["psi"]))
     points = tuple(
         LambdaPoint(tuple(p["weight"]), tuple(p["degree"])) for p in doc["points"]
     )
     d_of = {tuple(p["weight"]): p["d"] for p in doc["points"]}
-    return parse_lie_type(doc["algebra"]), GammaSet(base, psi, points, d_of)
+    return algebra, GammaSet(base, checked_psi(build_root_system(algebra), psi), points, d_of)
 
 
 def weight_latex(w) -> str:
@@ -336,14 +338,15 @@ _HANDLERS = {
 def run(job: JobSpec) -> tuple[int, str]:
     """Dispatch a validated job; returns (exit code, output text).  Only
     ``tensor`` and ``verify`` read tensor decompositions, so only they load
-    and rewrite the persistent store."""
+    the persistent store; they rewrite it only when they computed one."""
     cache_path = None
     if job.command in ("tensor", "verify"):
         cache_path = os.environ.get(ENV_CACHE) or job.cache_path
     if cache_path:
         cache_io.cache_load(cache_path, active_tensor_cache())
+    computed = active_tensor_cache().computed
     code, text = _HANDLERS[job.command](job)
-    if cache_path:
+    if cache_path and active_tensor_cache().computed > computed:
         cache_io.cache_store(cache_path, active_tensor_cache())
     return code, text
 
@@ -445,12 +448,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         job = _job_from_args(args)
         code, text = run(job)
-    except (InputError, ValueError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except AssertionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     if text:
         print(text)
     return code

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 from typing import NamedTuple
 
 Weight = tuple[int, ...]
@@ -314,13 +315,12 @@ def weyl_dim(rs: RootSystem, lam) -> int:
         return hit
     if not rs.is_dominant(lam):
         raise ValueError(f"weyl_dim requires a dominant weight, got {lam}")
-    dim = Fraction(1)
-    for root in rs.positive_roots:
-        # (lam + rho, beta) / (rho, beta), both integers in this normalisation.
-        dim *= Fraction(rs.pair_root(lam, root) + root.md_sum, root.md_sum)
-    if dim.denominator != 1:
+    # Product of (lam + rho, beta) / (rho, beta), both integers in this
+    # normalisation; one division keeps the arithmetic in integers.
+    num = prod(rs.pair_root(lam, root) + root.md_sum for root in rs.positive_roots)
+    value, rem = divmod(num, prod(root.md_sum for root in rs.positive_roots))
+    if rem:
         raise AssertionError(f"non-integral Weyl dimension for {lam}")
-    value = int(dim)
     _weyl_dim_cache[key] = value
     return value
 

@@ -49,8 +49,7 @@ def test_store_load_round_trip(tmp_path, fresh_cache):
     tensor_decompose(a1, (2,), (3,))
     before = dict(fresh_cache.items())
     path = tmp_path / "mults.cache"
-    records = cache_store(str(path), fresh_cache)
-    assert records == sum(len(v) for _, v in before.items())
+    assert cache_store(str(path), fresh_cache) == len(before)
 
     other = TensorCache()
     assert cache_load(str(path), other) == len(before)
@@ -60,17 +59,65 @@ def test_store_load_round_trip(tmp_path, fresh_cache):
 def test_corrupt_lines_are_skipped_with_warning(tmp_path, fresh_cache, capsys):
     rs = build_root_system("A1")
     tensor_decompose(rs, (1,), (1,))
+    tensor_decompose(rs, (1,), (2,))
     path = tmp_path / "mults.cache"
     cache_store(str(path), fresh_cache)
-    content = path.read_text()
-    path.write_text("this line is garbage\n" + content + "A,1|1|1 oops\n")
+    header, first, second = path.read_text().splitlines()
+
+    # Garbage before the header: the whole file is ignored.
+    path.write_text("this line is garbage\n" + "\n".join([header, first, second]) + "\n")
+    assert cache_load(str(path), TensorCache()) == 0
+    assert "no krchar-tensor-store version 1 header" in capsys.readouterr().err
+
+    # Garbage after the header: only that line is dropped.
+    path.write_text("\n".join([header, first, "this line is garbage", second]) + "\n")
+    other = TensorCache()
+    assert cache_load(str(path), other) == 2
+    err = capsys.readouterr().err
+    assert err.count("warning: skipping corrupt cache line") == 1
+    assert "line 3" in err
+    assert dict(other.items()) == dict(fresh_cache.items())
+
+
+# Each tampered line breaks exactly one of the per-line checks.
+_TAMPERED = {
+    "rank": '["A",2,[1],[1],[[[0],1],[[2],1]]]',
+    "order": '["A",1,[2],[1],[[[1],1],[[3],1]]]',
+    "non-dominant": '["A",1,[1],[1],[[[-2],1],[[2],1]]]',
+    "zero multiplicity": '["A",1,[1],[1],[[[0],1],[[2],1],[[4],0]]]',
+    "float multiplicity": '["A",1,[1],[1],[[[0],1.0],[[2],1]]]',
+    "bool multiplicity": '["A",1,[1],[1],[[[0],true],[[2],1]]]',
+    "repeated weight": '["A",1,[1],[1],[[[0],1],[[0],1]]]',
+    "dimension identity": '["A",1,[1],[1],[[[0],1],[[2],2]]]',
+    "family": '["E",1,[1],[1],[[[0],1],[[2],1]]]',
+    "shape": '["A",1,[1],[1]]',
+}
+
+
+@pytest.mark.parametrize("check", sorted(_TAMPERED))
+def test_each_line_check_drops_a_tampered_line(tmp_path, fresh_cache, capsys, check):
+    tensor_decompose(build_root_system("A1"), (1,), (2,))
+    path = tmp_path / "mults.cache"
+    cache_store(str(path), fresh_cache)
+    path.write_text(path.read_text() + _TAMPERED[check] + "\n")
 
     other = TensorCache()
-    loaded = cache_load(str(path), other)
-    err = capsys.readouterr().err
-    assert err.count("warning: skipping corrupt cache line") == 2
-    assert loaded == 1
+    assert cache_load(str(path), other) == 1
     assert dict(other.items()) == dict(fresh_cache.items())
+    assert "skipping corrupt cache line 3" in capsys.readouterr().err
+
+
+def test_stored_lines_are_sorted_json_with_a_header(tmp_path, fresh_cache):
+    rs = build_root_system("A1")
+    tensor_decompose(rs, (2,), (1,))
+    tensor_decompose(rs, (1,), (1,))
+    path = tmp_path / "mults.cache"
+    assert cache_store(str(path), fresh_cache) == 2
+    assert path.read_text().splitlines() == [
+        '{"format": "krchar-tensor-store", "version": 1}',
+        '["A",1,[1],[1],[[[0],1],[[2],1]]]',
+        '["A",1,[1],[2],[[[1],1],[[3],1]]]',
+    ]
 
 
 def test_store_is_atomic_rename(tmp_path, fresh_cache):

@@ -60,6 +60,18 @@ def test_unsupported_family_exit_code(capsys):
     assert "unsupported" in capsys.readouterr().err
 
 
+def test_internal_error_exit_code(monkeypatch, capsys):
+    import krchar.cli as cli_mod
+
+    def broken_invariant(job):
+        raise AssertionError("negative multiplicity from Racah-Speiser")
+
+    monkeypatch.setitem(cli_mod._HANDLERS, "tensor", broken_invariant)
+    assert main(["tensor", "--algebra", "A1", "--weight", "1", "--weight", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err == "internal error: negative multiplicity from Racah-Speiser\n"
+
+
 def test_non_dominant_weight_rejected(capsys):
     assert main(["gch", "--algebra", "A2", "--weight", "1,-1"]) == 2
     assert "dominant" in capsys.readouterr().err
@@ -266,6 +278,24 @@ def test_gamma_json_round_trip_full_matrix():
         assert back.d_of == gamma.d_of
 
 
+def test_gamma_from_json_returns_a_checked_psi_set():
+    rs = build_root_system("D4")
+    gamma = gamma_psi(rs, psi_i(rs, 2), LambdaPoint((0, 1, 0, 0), (0, 0)), 2)
+    doc = json.loads(json.dumps(gamma_to_json(rs.lie_type, gamma)))
+    _, back = gamma_from_json(doc)
+    assert back.psi.checked
+    assert gamma_psi(rs, back.psi, back.base, 2) == gamma
+
+
+def test_gamma_from_json_rejects_a_tampered_psi():
+    rs = build_root_system("D4")
+    gamma = gamma_psi(rs, psi_i(rs, 2), LambdaPoint((0, 1, 0, 0), (0,)), 1)
+    doc = json.loads(json.dumps(gamma_to_json(rs.lie_type, gamma)))
+    doc["psi"] = [[2, -1, 0, 0]]  # -alpha_1 in place of -theta
+    with pytest.raises(ValueError):
+        gamma_from_json(doc)
+
+
 def test_iso_json_round_trip():
     rs = build_root_system("D4")
     iso = tensor_decompose(rs, omega_weight(4, (2, 1)), omega_weight(4, (2, 1)))
@@ -316,8 +346,77 @@ def test_env_var_cache_path(tmp_path, monkeypatch, capsys):
         code = main(["tensor", "--algebra", "A1", "--weight", "2", "--weight", "2"])
         assert code == 0
         capsys.readouterr()
-        content = path.read_text()
-        assert "A,1|2|2|" in content
+        lines = path.read_text().splitlines()
+        assert lines[0] == '{"format": "krchar-tensor-store", "version": 1}'
+        assert '["A",1,[2],[2],[[[0],1],[[2],1],[[4],1]]]' in lines
     finally:
         set_active_tensor_cache(previous)
         monkeypatch.delenv("KRCHAR_CACHE")
+
+
+# -- the persistent tensor store ------------------------------------------------------
+
+_TENSOR = ["tensor", "--algebra", "D4", "--weight", "0,1,0,0", "--weight", "1,0,1,1"]
+
+
+def _tensor_run(capsys, *extra):
+    """Run ``krchar tensor`` from a cold in-memory cache; (code, out, err)."""
+    from krchar.repchar import TensorCache, set_active_tensor_cache
+
+    previous = set_active_tensor_cache(TensorCache())
+    try:
+        code = main(_TENSOR + list(extra))
+    finally:
+        set_active_tensor_cache(previous)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_store_cut_mid_line_is_recomputed(tmp_path, capsys):
+    path = tmp_path / "mults.cache"
+    assert _tensor_run(capsys, "--cache", str(path))[0] == 0
+    data = path.read_bytes()
+    first = data.index(b"\n") + 1
+    path.write_bytes(data[:first + (len(data) - first) // 2])
+
+    code, out, err = _tensor_run(capsys, "--cache", str(path))
+    assert (code, out) == _tensor_run(capsys)[:2]
+    assert "warning: skipping corrupt cache line 2" in err
+    assert _tensor_run(capsys, "--cache", str(path))[2] == ""  # rewritten whole
+
+
+def test_store_with_edited_multiplicity_is_recomputed(tmp_path, capsys):
+    path = tmp_path / "mults.cache"
+    assert _tensor_run(capsys, "--cache", str(path))[0] == 0
+    header, line = path.read_text().splitlines()
+    family, rank, lam, nu, pairs = json.loads(line)
+    pairs[0][1] += 1
+    path.write_text(header + "\n" + json.dumps([family, rank, lam, nu, pairs]) + "\n")
+
+    code, out, err = _tensor_run(capsys, "--cache", str(path))
+    assert (code, out) == _tensor_run(capsys)[:2]
+    assert "dim V(lam) * dim V(nu)" in err
+
+
+def test_old_format_store_is_ignored_then_rewritten(tmp_path, capsys):
+    path = tmp_path / "mults.cache"
+    path.write_text("D,4|0,1,0,0|1,0,1,1|1,0,1,1 1\n")
+
+    code, out, err = _tensor_run(capsys, "--cache", str(path))
+    assert (code, out) == _tensor_run(capsys)[:2]
+    assert "ignoring multiplicity cache" in err
+    lines = path.read_text().splitlines()
+    assert lines[0] == '{"format": "krchar-tensor-store", "version": 1}'
+    assert json.loads(lines[1])[:4] == ["D", 4, [0, 1, 0, 0], [1, 0, 1, 1]]
+
+
+def test_warm_hit_does_not_rewrite_the_store(tmp_path, capsys):
+    path = tmp_path / "mults.cache"
+    cold = _tensor_run(capsys, "--cache", str(path))
+    before = path.stat()
+    data = path.read_bytes()
+
+    assert _tensor_run(capsys, "--cache", str(path)) == cold
+    after = path.stat()
+    assert path.read_bytes() == data
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)

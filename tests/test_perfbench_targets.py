@@ -9,6 +9,8 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def test_tracer_finds_every_target():
+    import krchar.cli  # noqa: F401  (``import krchar`` does not load it; the worker imports it first)
+
     sys.path.insert(0, str(PERFBENCH))
     try:
         import tracer

@@ -276,6 +276,23 @@ def test_weyl_dim_textbook_values():
     assert weyl_dim(build_root_system("A2"), (1, 1)) == 8
 
 
+def _weyl_dim_fraction(rs, lam) -> int:
+    """Reference: the Weyl product formula as a product of Fractions."""
+    dim = Fraction(1)
+    for root in rs.positive_roots:
+        dim *= Fraction(rs.pair_root(lam, root) + root.md_sum, root.md_sum)
+    assert dim.denominator == 1
+    return int(dim)
+
+
+@pytest.mark.parametrize("label", ["A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5",
+                                   "C2", "C3", "C4", "C5", "D4", "D5"])
+def test_weyl_dim_matches_the_fraction_product(label):
+    rs = build_root_system(label)
+    for lam in product(range(3), repeat=rs.rank):
+        assert weyl_dim(rs, lam) == _weyl_dim_fraction(rs, lam)
+
+
 # -- root coordinates ---------------------------------------------------------
 
 def test_root_coords_examples():
