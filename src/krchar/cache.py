@@ -4,7 +4,8 @@ line per decomposition.  A line is loaded only if its weights are dominant
 of the type's rank, ``lam <= nu`` as ``tensor_decompose`` keys them, each mu
 appears once with a positive integer multiplicity m, and
 sum m dim V(mu) = dim V(lam) dim V(nu) holds exactly.  Any other line is
-dropped with a warning, so it is recomputed on demand; a file without the
+dropped with a warning and counted in ``TensorCache.dropped``, so it is
+recomputed on demand and left out of the next write; a file without the
 header is ignored with a warning.  Storing writes a temporary file and
 renames it into place, so readers never observe a partial file.
 """
@@ -64,6 +65,7 @@ def cache_load(path: str, cache: TensorCache) -> int:
                 except (ValueError, TypeError) as exc:
                     print(f"warning: skipping corrupt cache line {lineno} in {path}: {exc}",
                           file=sys.stderr)
+                    cache.count_drop()
                     continue
                 cache.put(key, mults)
                 loaded += 1

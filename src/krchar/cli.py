@@ -46,7 +46,6 @@ class JobSpec:
     node: int | None = None
     degree: tuple[int, ...] | None = None
     format: str = "plain"
-    mode: str = "fixed-psi"
     suite: str = "all"
     cache_path: str | None = None
 
@@ -75,11 +74,14 @@ def parse_point(text: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return parse_coords(left, "weight"), parse_coords(right, "degree")
 
 
-def _require_rank(rs: RootSystem, w, what: str = "weight"):
+def _require_dominant(rs: RootSystem, w, what: str = "weight"):
+    """Reject a weight of the wrong rank or one that is not dominant."""
     if len(w) != rs.rank:
         raise InputError(
             f"{what} {list(w)} has {len(w)} coordinates but {rs.lie_type} has rank {rs.rank}"
         )
+    if not rs.is_dominant(w):
+        raise InputError(f"{what} {list(w)} is not dominant")
     return w
 
 
@@ -215,10 +217,8 @@ def gamma_plain(gamma: GammaSet) -> str:
 def _run_gch(job: JobSpec) -> tuple[int, str]:
     rs = build_root_system(job.algebra)
     (lam,) = job.weights
-    _require_rank(rs, lam)
-    if not rs.is_dominant(lam):
-        raise InputError(f"weight {list(lam)} is not dominant")
-    g = gch_N(rs, lam, job.ell, mode=job.mode)
+    _require_dominant(rs, lam)
+    g = gch_N(rs, lam, job.ell)
     if job.format == "json":
         return 0, json.dumps(graded_to_json(rs.lie_type, job.ell, g), indent=2)
     if job.format == "latex":
@@ -229,8 +229,8 @@ def _run_gch(job: JobSpec) -> tuple[int, str]:
 def _run_ext(job: JobSpec) -> tuple[int, str]:
     rs = build_root_system(job.algebra)
     (a_w, a_d), (b_w, b_d) = job.points
-    _require_rank(rs, a_w, "source weight")
-    _require_rank(rs, b_w, "target weight")
+    _require_dominant(rs, a_w, "source weight")
+    _require_dominant(rs, b_w, "target weight")
     if len(a_d) != len(b_d):
         raise InputError(
             f"degree vectors {list(a_d)} and {list(b_d)} have different lengths"
@@ -245,9 +245,7 @@ def _run_ext(job: JobSpec) -> tuple[int, str]:
 def _run_gamma(job: JobSpec) -> tuple[int, str]:
     rs = build_root_system(job.algebra)
     (lam,) = job.weights
-    _require_rank(rs, lam)
-    if not rs.is_dominant(lam):
-        raise InputError(f"weight {list(lam)} is not dominant")
+    _require_dominant(rs, lam)
     degree = job.degree if job.degree is not None else (0,) * job.ell
     if len(degree) != job.ell:
         raise InputError(f"degree {list(degree)} does not have length ell={job.ell}")
@@ -266,10 +264,8 @@ def _run_tensor(job: JobSpec) -> tuple[int, str]:
     if len(job.weights) != 2:
         raise InputError("tensor needs exactly two --weight arguments")
     lam, nu = job.weights
-    _require_rank(rs, lam)
-    _require_rank(rs, nu)
-    if not (rs.is_dominant(lam) and rs.is_dominant(nu)):
-        raise InputError("tensor factors must be dominant weights")
+    _require_dominant(rs, lam)
+    _require_dominant(rs, nu)
     iso = tensor_decompose(rs, lam, nu)
     if job.format == "json":
         return 0, json.dumps(iso_to_json(rs.lie_type, iso), indent=2)
@@ -289,7 +285,7 @@ def _run_psi(job: JobSpec) -> tuple[int, str]:
         header = f"psi_{job.node} for {rs.lie_type}"
     else:
         (mu,) = job.weights
-        _require_rank(rs, mu)
+        _require_dominant(rs, mu)
         psi = psi_of_mu(rs, mu)
         header = f"psi({list(mu)}) for {rs.lie_type}"
     adj = adjoint_char(rs)
@@ -338,16 +334,18 @@ _HANDLERS = {
 def run(job: JobSpec) -> tuple[int, str]:
     """Dispatch a validated job; returns (exit code, output text).  Only
     ``tensor`` and ``verify`` read tensor decompositions, so only they load
-    the persistent store; they rewrite it only when they computed one."""
+    the persistent store; they rewrite it only when they computed one or
+    dropped a corrupt line."""
     cache_path = None
     if job.command in ("tensor", "verify"):
         cache_path = os.environ.get(ENV_CACHE) or job.cache_path
+    cache = active_tensor_cache()
+    before = (cache.computed, cache.dropped)
     if cache_path:
-        cache_io.cache_load(cache_path, active_tensor_cache())
-    computed = active_tensor_cache().computed
+        cache_io.cache_load(cache_path, cache)
     code, text = _HANDLERS[job.command](job)
-    if cache_path and active_tensor_cache().computed > computed:
-        cache_io.cache_store(cache_path, active_tensor_cache())
+    if cache_path and (cache.computed, cache.dropped) != before:
+        cache_io.cache_store(cache_path, cache)
     return code, text
 
 
@@ -373,9 +371,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--weight", required=True, help="fundamental coordinates, e.g. 0,0,2,0,0")
     p.add_argument("--ell", type=int, default=1, help="number of grading variables")
-    p.add_argument("--mode", choices=("fixed-psi", "per-weight-psi"), default="fixed-psi",
-                   help="fixed-psi: symmetric powers, no recursion; per-weight-psi: "
-                        "alternating-sum recursion, Psi derived per inner weight")
 
     p = sub.add_parser("ext", help="Ext dimension between two graded simples")
     common(p)
@@ -420,8 +415,6 @@ def _job_from_args(args: argparse.Namespace) -> JobSpec:
         job.ell = args.ell
         if job.ell < 1:
             raise InputError(f"ell must be positive, got {job.ell}")
-    if args.command == "gch":
-        job.mode = args.mode
     if args.command == "gamma":
         job.node = args.node
         if args.degree is not None:

@@ -88,6 +88,9 @@ def ext_dim(rs: RootSystem, ms: ModuleSpec, a: LambdaPoint, b: LambdaPoint,
             j: int) -> int:
     """dim Ext^j between the simples at a and b; nonzero only in the single
     cohomological degree matching the multidegree gap."""
+    for w in (a.weight, b.weight):
+        if not rs.is_dominant(w):
+            raise ValueError(f"ext_dim requires dominant weights, got {tuple(w)}")
     k = sub_weights(b.degree, a.degree)
     if any(x < 0 for x in k) or deg(k) != j:
         return 0
@@ -220,7 +223,8 @@ def _gch_recursive_base0(rs: RootSystem, ms: ModuleSpec, mu: Weight,
 def gch_P_recursive(rs: RootSystem, ms: ModuleSpec, base: LambdaPoint,
                     gamma: GammaSet, mode: str = "fixed-psi") -> GradedChar:
     """Graded character of the projective cover at ``base`` computed through
-    the alternating-sum identity; must agree with :func:`gch_P_direct`.
+    the alternating-sum identity; the reference that :func:`gch_P_direct`
+    (and so :func:`gch_N`) is checked against, never a production route.
 
     In fixed-psi mode the inner translates reuse gamma's own Psi set; in
     per-weight-psi mode each inner weight derives its own from its largest
@@ -242,28 +246,20 @@ def gch_P_recursive(rs: RootSystem, ms: ModuleSpec, base: LambdaPoint,
 _gch_n_cache = register_cache(BoundedCache())
 
 
-def gch_N(rs: RootSystem, lam, ell: int, mode: str = "fixed-psi") -> GradedChar:
+def gch_N(rs: RootSystem, lam, ell: int) -> GradedChar:
     """Graded character of the generalized Kirillov-Reshetikhin module with
-    highest weight lam over ell grading variables, based at degree zero.
-    ``fixed-psi`` reads it off symmetric powers without recursing;
-    ``per-weight-psi`` runs the recursion, deriving Psi per inner weight."""
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+    highest weight lam over ell grading variables, based at degree zero,
+    read off symmetric powers (:func:`gch_P_direct`) on Gamma_{psi_lam}."""
     lam = tuple(lam)
     if not rs.is_dominant(lam):
         raise ValueError(f"gch_N requires a dominant weight, got {lam}")
-    key = (rs.lie_type, lam, ell, mode)
+    key = (rs.lie_type, lam, ell)
     hit = _gch_n_cache.get(key)
     if hit is not None:
         return hit
-    psi = psi_lambda(rs, lam)
     ms = ModuleSpec.adjoint(rs, ell)
     base = LambdaPoint(lam, (0,) * ell)
-    gamma = gamma_psi(rs, psi, base, ell)
-    if mode == "fixed-psi":
-        out = gch_P_direct(rs, ms, base, gamma)
-    else:
-        out = gch_P_recursive(rs, ms, base, gamma, mode=mode)
+    out = gch_P_direct(rs, ms, base, gamma_psi(rs, psi_lambda(rs, lam), base, ell))
     if not out.is_genuine():
         raise AssertionError(f"graded character of N({lam}) has negative entries")
     _gch_n_cache.put(key, out)
@@ -308,13 +304,12 @@ def verify_alternating_sum(rs: RootSystem, ms: ModuleSpec, base: LambdaPoint,
     return True, None
 
 
-def multiplicity_ell_profile(rs: RootSystem, lam, mu, ell_max: int,
-                             mode: str = "fixed-psi") -> list[int]:
+def multiplicity_ell_profile(rs: RootSystem, lam, mu, ell_max: int) -> list[int]:
     """Total multiplicity of V(mu) inside the generalized KR module of
     highest weight lam, for each number of grading variables 1..ell_max."""
     mu = tuple(mu)
     profile = []
     for ell in range(1, ell_max + 1):
-        g = gch_N(rs, lam, ell, mode=mode)
+        g = gch_N(rs, lam, ell)
         profile.append(sum(v for (w, _), v in g.entries.items() if w == mu))
     return profile

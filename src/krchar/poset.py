@@ -90,7 +90,8 @@ def psi_of_mu(rs: RootSystem, mu) -> PsiSet:
         raise ValueError(f"psi_of_mu requires a nonzero dominant weight, got {mu}")
     pairings = {root.weight: rs.pair_root(mu, root) for root in rs.positive_roots}
     top = max(pairings.values())
-    assert top > 0
+    if top <= 0:
+        raise AssertionError(f"nonzero dominant {mu} pairs to {top} with every positive root")
     return PsiSet(frozenset(
         tuple(-c for c in w) for w, value in pairings.items() if value == top
     ))
@@ -301,5 +302,6 @@ def gamma_psi(rs: RootSystem, psi: PsiSet, base: LambdaPoint, ell: int) -> Gamma
             keyed.append((d, mu, s))
     keyed.sort()
     points = tuple(LambdaPoint(mu, s) for _, mu, s in keyed)
-    assert points and points[0] == base
+    if not points or points[0] != base:
+        raise AssertionError(f"gamma set above {base} does not start at its base")
     return GammaSet(base, psi, points, d_of)

@@ -300,15 +300,21 @@ def dominant_multiplicities(rs: RootSystem, lam) -> Mapping[Weight, int]:
 class TensorCache(BoundedCache):
     """Memo of full tensor decompositions, optionally persisted to disk.
 
-    ``computed`` counts actual Racah-Speiser runs (cache misses)."""
+    ``computed`` counts actual Racah-Speiser runs (cache misses);
+    ``dropped`` counts stored lines that failed their checks on load."""
 
     def __init__(self, max_entries: int = DEFAULT_CACHE_ENTRIES):
         super().__init__(max_entries)
         self.computed = 0
+        self.dropped = 0
 
     def count_compute(self):
         with self._lock:
             self.computed += 1
+
+    def count_drop(self):
+        with self._lock:
+            self.dropped += 1
 
 
 _tensor_cache = TensorCache()

@@ -292,9 +292,10 @@ def check_mode_agreement() -> CheckResult:
     name = "mode-agreement"
     count = 0
     for rs, lam, ell in acceptance_matrix():
-        fixed = gch_N(rs, lam, ell, mode="fixed-psi")
-        per_weight = gch_N(rs, lam, ell, mode="per-weight-psi")
-        if fixed != per_weight:
+        base, gamma = _kr_gamma(rs, lam, ell)
+        ms = ModuleSpec.adjoint(rs, ell)
+        per_weight = gch_P_recursive(rs, ms, base, gamma, mode="per-weight-psi")
+        if gch_N(rs, lam, ell) != per_weight:
             node = i_lambda(rs, lam)
             return _fail(
                 name,

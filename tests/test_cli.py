@@ -122,13 +122,12 @@ def test_gch_latex(capsys):
     assert out == "\\ch V(\\omega_{3}) + \\ch V(\\omega_{1})\\, t_{1}"
 
 
-def test_gch_modes_flag(capsys):
-    for mode in ("fixed-psi", "per-weight-psi"):
-        code = main([
-            "gch", "--algebra", "D4", "--weight", "0,2,0,0", "--ell", "2",
-            "--format", "json", "--mode", mode,
-        ])
-        assert code == 0
+def test_gch_has_no_mode_option(capsys):
+    # gch has one route; the per-weight-psi recursion is verify's oracle.
+    with pytest.raises(SystemExit) as exc:
+        main(["gch", "--algebra", "D4", "--weight", "0,2,0,0", "--mode", "fixed-psi"])
+    assert exc.value.code == 2
+    assert "--mode" in capsys.readouterr().err
 
 
 # -- ext ----------------------------------------------------------------------------
@@ -149,6 +148,18 @@ def test_ext_paper_one(capsys):
     ])
     assert code == 0
     assert json.loads(capsys.readouterr().out)["value"] == 1
+
+
+def test_ext_rejects_a_non_dominant_weight(capsys):
+    # The degree gap (1 -> 0) does not match --j, so without a weight check
+    # the answer would be 0.
+    code = main([
+        "ext", "--algebra", "D4", "--from=0,-1,0,0@1", "--to", "0,0,0,0@0", "--j", "0",
+    ])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "source weight [0, -1, 0, 0] is not dominant" in captured.err
 
 
 # -- gamma --------------------------------------------------------------------------
@@ -359,17 +370,21 @@ def test_env_var_cache_path(tmp_path, monkeypatch, capsys):
 _TENSOR = ["tensor", "--algebra", "D4", "--weight", "0,1,0,0", "--weight", "1,0,1,1"]
 
 
-def _tensor_run(capsys, *extra):
-    """Run ``krchar tensor`` from a cold in-memory cache; (code, out, err)."""
+def _cold_run(capsys, argv):
+    """Run ``krchar <argv>`` from a cold in-memory cache; (code, out, err)."""
     from krchar.repchar import TensorCache, set_active_tensor_cache
 
     previous = set_active_tensor_cache(TensorCache())
     try:
-        code = main(_TENSOR + list(extra))
+        code = main(argv)
     finally:
         set_active_tensor_cache(previous)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _tensor_run(capsys, *extra):
+    return _cold_run(capsys, _TENSOR + list(extra))
 
 
 def test_store_cut_mid_line_is_recomputed(tmp_path, capsys):
@@ -408,6 +423,28 @@ def test_old_format_store_is_ignored_then_rewritten(tmp_path, capsys):
     lines = path.read_text().splitlines()
     assert lines[0] == '{"format": "krchar-tensor-store", "version": 1}'
     assert json.loads(lines[1])[:4] == ["D", 4, [0, 1, 0, 0], [1, 0, 1, 1]]
+
+
+def test_dropped_line_is_written_out_on_the_next_run(tmp_path, capsys):
+    # A corrupt line that no command asks for must not stay in the store.
+    from krchar.cache import _decomposition
+
+    path = tmp_path / "mults.cache"
+    pairs = [["--weight", "1,0", "--weight", "0,1"], ["--weight", "1,1", "--weight", "1,1"]]
+    argvs = [["tensor", "--algebra", "A2", *pair, "--cache", str(path)] for pair in pairs]
+    for argv in argvs:
+        assert _cold_run(capsys, argv)[0] == 0
+    header, first, second = path.read_text().splitlines()
+    path.write_text("\n".join([header, first, second[:len(second) // 2]]) + "\n")
+
+    code, out, err = _cold_run(capsys, argvs[0])
+    assert code == 0
+    assert "warning: skipping corrupt cache line 3" in err
+    assert _cold_run(capsys, argvs[0]) == (0, out, "")
+    lines = path.read_text().splitlines()
+    assert lines == [header, first]
+    for line in lines[1:]:
+        _decomposition(line.encode())  # raises if a line check fails
 
 
 def test_warm_hit_does_not_rewrite_the_store(tmp_path, capsys):

@@ -16,7 +16,15 @@ from krchar.graded import (
     verify_AE_identity,
     verify_alternating_sum,
 )
-from krchar.poset import LambdaPoint, PsiSet, checked_psi, compositions, gamma_psi, psi_i
+from krchar.poset import (
+    LambdaPoint,
+    PsiSet,
+    checked_psi,
+    compositions,
+    gamma_psi,
+    i_lambda,
+    psi_i,
+)
 from krchar.repchar import IsoChar, ModuleSpec, tensor_decompose
 from krchar.rootsys import build_root_system, omega_weight
 
@@ -72,6 +80,17 @@ def test_ext_dim_negative_gap():
     a = LambdaPoint(omega_weight(5, (3, 2)), (1,))
     b = LambdaPoint(omega_weight(5, (3, 1), (1, 1)), (0,))
     assert ext_dim(D5, ms, a, b, 1) == 0
+
+
+def test_ext_dim_rejects_non_dominant_weights():
+    # Checked before the degree shortcut: here the gap (1 -> 0) alone would
+    # answer 0.
+    ms = ModuleSpec.adjoint(D4, 1)
+    zero = LambdaPoint((0, 0, 0, 0), (0,))
+    for a, b in ((LambdaPoint((0, -1, 0, 0), (1,)), zero),
+                 (LambdaPoint((0, 1, 0, 0), (1,)), LambdaPoint((1, 0, -1, 0), (0,)))):
+        with pytest.raises(ValueError, match="dominant"):
+            ext_dim(D4, ms, a, b, 0)
 
 
 # -- matrices ----------------------------------------------------------------------
@@ -227,6 +246,12 @@ def test_gch_N_2omega3_ell3_has_trivial_term():
     assert got.entries[(zero, (1, 1, 1))] == 1
 
 
+def _per_weight_recursion(rs, lam, ell):
+    base, gamma = _gamma(rs, i_lambda(rs, lam), lam, ell)
+    ms = ModuleSpec.adjoint(rs, ell)
+    return gch_P_recursive(rs, ms, base, gamma, mode="per-weight-psi")
+
+
 def test_gch_N_modes_agree():
     for lam, ell in [
         (omega_weight(5, (3, 2)), 2),
@@ -234,14 +259,18 @@ def test_gch_N_modes_agree():
         (omega_weight(5, (2, 2)), 1),
     ]:
         rs = D5 if len(lam) == 5 else D4
-        assert gch_N(rs, lam, ell) == gch_N(rs, lam, ell, mode="per-weight-psi")
+        assert gch_N(rs, lam, ell) == _per_weight_recursion(rs, lam, ell)
 
 
 def test_gch_N_validation():
     with pytest.raises(ValueError):
         gch_N(D4, (-1, 0, 0, 0), 1)
-    with pytest.raises(ValueError):
-        gch_N(D4, (1, 0, 0, 0), 1, mode="bogus")
+
+
+def test_gch_P_recursive_rejects_an_unknown_mode():
+    base, gamma = _gamma(D4, 2, (0, 1, 0, 0), 1)
+    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+        gch_P_recursive(D4, ModuleSpec.adjoint(D4, 1), base, gamma, mode="bogus")
 
 
 # -- degree collapse and expansion ---------------------------------------------------
@@ -297,8 +326,6 @@ def test_gch_cross_path_on_fundamental_pairs():
     # through inner weights with varying psi nodes.
     from itertools import combinations
 
-    from krchar.poset import i_lambda
-
     for label in ("D4", "D5"):
         rs = build_root_system(label)
         for i, j in combinations(range(1, rs.rank + 1), 2):
@@ -324,8 +351,6 @@ def test_gch_cross_path_on_fundamental_pairs():
 def test_identity_stack_on_b_c_a_types(label, lam_terms):
     rs = build_root_system(label)
     lam = omega_weight(rs.rank, *lam_terms)
-    from krchar.poset import i_lambda
-
     psi = checked_psi(rs, psi_i(rs, i_lambda(rs, lam)))
     for ell in (1, 2):
         ms = ModuleSpec.adjoint(rs, ell)
@@ -336,7 +361,7 @@ def test_identity_stack_on_b_c_a_types(label, lam_terms):
         assert ok, detail
         ok, detail = verify_alternating_sum(rs, ms, base, gamma)
         assert ok, detail
-        assert gch_N(rs, lam, ell) == gch_N(rs, lam, ell, mode="per-weight-psi")
+        assert gch_N(rs, lam, ell) == _per_weight_recursion(rs, lam, ell)
     if label == "A3":
         assert len(gamma) == 1
 

@@ -1,6 +1,10 @@
 """Tests for Psi-sets, the refined order, distances and Gamma enumeration."""
 
+import os
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +32,7 @@ from krchar.rootsys import build_root_system, omega_weight
 A1 = build_root_system("A1")
 D4 = build_root_system("D4")
 D5 = build_root_system("D5")
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def _neg(w):
@@ -241,6 +246,28 @@ def test_gamma_requires_checked_psi():
     with pytest.raises(ValueError):
         gamma_psi(D4, PsiSet(psi_i(D4, 2).elements), base, 1)
     assert len(gamma_psi(D4, psi_i(D4, 2), base, 1)) == 3
+
+
+def test_gamma_base_check_survives_python_O():
+    # An enumeration that misses its own base is an internal error even with
+    # assertions compiled out.
+    script = """
+import krchar.poset as poset
+from krchar.rootsys import build_root_system
+rs = build_root_system("D4")
+full = poset.dominant_multiplicities
+poset.dominant_multiplicities = lambda rs, lam: {
+    mu: m for mu, m in full(rs, lam).items() if mu != tuple(lam)}
+try:
+    poset.gamma_psi(rs, poset.psi_i(rs, 2), poset.LambdaPoint((0, 2, 0, 0), (0,)), 1)
+except AssertionError as exc:
+    print("AssertionError:", exc)
+else:
+    print("returned")
+"""
+    out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": SRC})
+    assert out.stdout.startswith("AssertionError: gamma set above"), out.stdout
 
 
 def test_gamma_empty_psi_is_singleton():
