@@ -14,10 +14,8 @@ from .graded import GradedChar, ext_dim, gch_N
 from .poset import (
     GammaSet,
     LambdaPoint,
-    PsiSet,
     check_polytope_condition,
     check_psi_extra,
-    checked_psi,
     gamma_psi,
     i_lambda,
     psi_i,
@@ -27,7 +25,6 @@ from .repchar import IsoChar, ModuleSpec, active_tensor_cache, adjoint_char, ten
 from .rootsys import LieType, RootSystem, build_root_system, parse_lie_type
 from .verify import run_suite
 
-FORMATS = ("plain", "json", "latex")
 ENV_CACHE = "KRCHAR_CACHE"
 
 
@@ -127,7 +124,7 @@ def gamma_to_json(algebra: LieType, gamma: GammaSet) -> dict:
         "algebra": str(algebra),
         "ell": gamma.ell,
         "base": {"weight": list(gamma.base.weight), "degree": list(gamma.base.degree)},
-        "psi": [list(w) for w in sorted(gamma.psi.elements)],
+        "psi": [list(w) for w in sorted(gamma.psi)],
         "points": [
             {
                 "weight": list(p.weight),
@@ -140,14 +137,16 @@ def gamma_to_json(algebra: LieType, gamma: GammaSet) -> dict:
 
 
 def gamma_from_json(doc: dict) -> tuple[LieType, GammaSet]:
+    """Enumerate the set again from the document's psi, base and ell; its
+    points and distances must match the enumeration."""
     algebra = parse_lie_type(doc["algebra"])
     base = LambdaPoint(tuple(doc["base"]["weight"]), tuple(doc["base"]["degree"]))
-    psi = PsiSet(frozenset(tuple(w) for w in doc["psi"]))
-    points = tuple(
-        LambdaPoint(tuple(p["weight"]), tuple(p["degree"])) for p in doc["points"]
-    )
-    d_of = {tuple(p["weight"]): p["d"] for p in doc["points"]}
-    return algebra, GammaSet(base, checked_psi(build_root_system(algebra), psi), points, d_of)
+    psi = frozenset(tuple(w) for w in doc["psi"])
+    gamma = gamma_psi(build_root_system(algebra), psi, base, doc["ell"])
+    listed = [(tuple(p["weight"]), tuple(p["degree"]), p["d"]) for p in doc["points"]]
+    if listed != [(p.weight, p.degree, gamma.d_of[p.weight]) for p in gamma.points]:
+        raise ValueError("gamma points or distances differ from the enumeration of psi and base")
+    return algebra, gamma
 
 
 def weight_latex(w) -> str:
@@ -250,9 +249,7 @@ def _run_gamma(job: JobSpec) -> tuple[int, str]:
     if len(degree) != job.ell:
         raise InputError(f"degree {list(degree)} does not have length ell={job.ell}")
     node = job.node if job.node is not None else i_lambda(rs, lam)
-    if not 1 <= node <= rs.rank:
-        raise InputError(f"node {node} out of range 1..{rs.rank}")
-    psi = psi_i(rs, node)
+    psi = psi_i(rs, node)  # raises on a node out of range
     gamma = gamma_psi(rs, psi, LambdaPoint(lam, degree), job.ell)
     if job.format == "json":
         return 0, json.dumps(gamma_to_json(rs.lie_type, gamma), indent=2)
@@ -279,9 +276,7 @@ def _run_psi(job: JobSpec) -> tuple[int, str]:
     if (job.node is None) == (not job.weights):
         raise InputError("psi needs exactly one of --node or --weight")
     if job.node is not None:
-        if not 1 <= job.node <= rs.rank:
-            raise InputError(f"node {job.node} out of range 1..{rs.rank}")
-        psi = psi_i(rs, job.node)
+        psi = psi_i(rs, job.node)  # raises on a node out of range
         header = f"psi_{job.node} for {rs.lie_type}"
     else:
         (mu,) = job.weights
@@ -289,18 +284,18 @@ def _run_psi(job: JobSpec) -> tuple[int, str]:
         psi = psi_of_mu(rs, mu)
         header = f"psi({list(mu)}) for {rs.lie_type}"
     adj = adjoint_char(rs)
-    polytope = check_polytope_condition(psi, adj)
+    polytope = check_polytope_condition(rs, psi, adj)
     extra = check_psi_extra(rs, psi, adj)
     if job.format == "json":
         return 0, json.dumps({
             "algebra": str(rs.lie_type),
-            "elements": [list(w) for w in sorted(psi.elements)],
+            "elements": [list(w) for w in sorted(psi)],
             "polytope_condition": polytope,
             "support_conditions": extra,
         }, indent=2)
     lines = [header]
-    if psi.elements:
-        lines.extend(f"  ({','.join(map(str, w))})" for w in sorted(psi.elements))
+    if psi:
+        lines.extend(f"  ({','.join(map(str, w))})" for w in sorted(psi))
     else:
         lines.append("  (empty)")
     lines.append(f"polytope condition: {'satisfied' if polytope else 'violated'}")
@@ -359,16 +354,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, *extra_formats):
         p.add_argument("--algebra", required=True, help="algebra label, e.g. D5")
-        p.add_argument("--format", choices=FORMATS, default="plain")
+        p.add_argument("--format", choices=("plain", "json", *extra_formats), default="plain")
 
     def store(p):
         p.add_argument("--cache", dest="cache_path", default=None,
                        help=f"persistent multiplicity cache (or ${ENV_CACHE})")
 
     p = sub.add_parser("gch", help="graded character of a generalized KR module")
-    common(p)
+    common(p, "latex")
     p.add_argument("--weight", required=True, help="fundamental coordinates, e.g. 0,0,2,0,0")
     p.add_argument("--ell", type=int, default=1, help="number of grading variables")
 
@@ -388,7 +383,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="psi node override (default: largest non-spin support node)")
 
     p = sub.add_parser("tensor", help="tensor product decomposition")
-    common(p)
+    common(p, "latex")
     store(p)
     p.add_argument("--weight", action="append", required=True,
                    help="give twice: the two dominant factors")

@@ -201,7 +201,7 @@ _gch_n0_cache = register_cache(BoundedCache())
 def _gch_recursive_base0(rs: RootSystem, ms: ModuleSpec, mu: Weight,
                          psi: PsiSet, ell: int, mode: str) -> GradedChar:
     """Recursive graded character based at (mu, 0) over gamma_psi(mu, 0)."""
-    key = (rs.lie_type, ms.components, mu, frozenset(psi.elements), ell, mode)
+    key = (rs.lie_type, ms.components, mu, psi, ell, mode)
     hit = _gch_n0_cache.get(key)
     if hit is not None:
         return hit

@@ -4,10 +4,9 @@ recursion."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from math import lcm
 from typing import Iterator, NamedTuple
 
-from . import ratlp
 from .repchar import (
     BoundedCache,
     register_cache,
@@ -22,6 +21,7 @@ from .rootsys import (
     Weight,
     integral_root_coords,
     omega_weight,
+    root_coords,
     sub_weights,
 )
 
@@ -48,38 +48,20 @@ class LambdaPoint(NamedTuple):
     degree: MultiDegree
 
 
-@dataclass(frozen=True)
-class PsiSet:
-    """A finite set of weights, normally negatives of positive roots.
-
-    ``checked`` records that the face condition and the support conditions
-    hold: :func:`psi_i` sets it on the sets it builds, :func:`checked_psi`
-    on a hand-built set once both checks pass."""
-
-    elements: frozenset[Weight]
-    checked: bool = False
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __len__(self):
-        return len(self.elements)
+# A Psi set: a finite set of weights, normally negatives of positive roots.
+PsiSet = frozenset[Weight]
 
 
 def psi_i(rs: RootSystem, i: int) -> PsiSet:
     """Negatives of the positive roots whose i-th simple-root coefficient is 2
-    (node i in 1-based Bourbaki numbering).  A nonempty set is the face of the
-    adjoint weight polytope minimised by omega_i, so it comes back checked."""
+    (node i in 1-based Bourbaki numbering).  When the highest root has
+    coefficient 2 at node i this is the face of the adjoint weight polytope
+    minimised by omega_i; otherwise it is empty."""
     if not 1 <= i <= rs.rank:
         raise ValueError(f"node {i} out of range 1..{rs.rank}")
-    elements = frozenset(
-        tuple(-c for c in root.weight)
-        for root in rs.positive_roots
-        if root.coords[i - 1] == 2
-    )
-    if elements and elements != psi_of_mu(rs, omega_weight(rs.rank, (i, 1))).elements:
-        raise AssertionError(f"psi_{i} is not the face minimised by omega_{i}")
-    return PsiSet(elements, checked=check_psi_extra(rs, PsiSet(elements), adjoint_char(rs)))
+    if rs.highest_root.coords[i - 1] != 2:
+        return frozenset()
+    return psi_of_mu(rs, omega_weight(rs.rank, (i, 1)))
 
 
 def psi_of_mu(rs: RootSystem, mu) -> PsiSet:
@@ -92,9 +74,9 @@ def psi_of_mu(rs: RootSystem, mu) -> PsiSet:
     top = max(pairings.values())
     if top <= 0:
         raise AssertionError(f"nonzero dominant {mu} pairs to {top} with every positive root")
-    return PsiSet(frozenset(
+    return frozenset(
         tuple(-c for c in w) for w, value in pairings.items() if value == top
-    ))
+    )
 
 
 def i_lambda(rs: RootSystem, lam) -> int:
@@ -112,52 +94,52 @@ def psi_lambda(rs: RootSystem, lam) -> PsiSet:
     return psi_i(rs, i_lambda(rs, lam))
 
 
-def check_polytope_condition(psi: PsiSet, V_weights: WeightChar) -> bool:
-    """Face test: some linear functional is constant on psi and strictly
-    larger on every other weight of V (exact rational feasibility)."""
-    support = set(V_weights.entries)
-    if not set(psi.elements) <= support:
+def check_polytope_condition(rs: RootSystem, psi: PsiSet, V_weights: WeightChar) -> bool:
+    """Face test: psi is exactly the set of weights of V on which the pairing
+    with its barycentre b = sum(psi) is largest.  Passing proves that b
+    exposes psi as a face; a face of the Weyl-invariant adjoint weight
+    polytope always passes, since its barycentre exposes it."""
+    support = V_weights.entries
+    if not psi.issubset(support):
         raise ValueError("psi is not contained in the weight set of V")
-    if not psi.elements:
+    if not psi:
         return True
-    nvars = len(next(iter(psi.elements))) + 1  # functional phi plus level c
-    equalities = [(list(nu) + [-1], 0) for nu in psi.elements]
-    inequalities = [
-        (list(mu) + [-1], 1) for mu in support if mu not in psi.elements
-    ]
-    return ratlp.feasible(equalities, inequalities, nvars)
+    # (x, b) = sum_j c_j d_j x_j with c the root coordinates of b; scaled once
+    # to integers.
+    coords = root_coords(rs, [sum(column) for column in zip(*psi)])
+    scale = lcm(*(c.denominator for c in coords))
+    functional = [int(c * scale) * d for c, d in zip(coords, rs.half_lengths)]
+    values = {x: sum(f * c for f, c in zip(functional, x)) for x in support}
+    top = max(values.values())
+    return psi == {x for x, value in values.items() if value == top}
 
 
 def check_psi_extra(rs: RootSystem, psi: PsiSet, V_weights: WeightChar) -> bool:
-    """Support conditions: psi avoids the dominant cone, sits inside the
-    negative roots (which bounds the reachable dominant weights), and is
+    """Support conditions: psi sits inside the negative roots (so it avoids
+    the dominant cone and bounds the reachable dominant weights), and is
     never hit from a dominant weight of V by adding a simple root."""
-    if any(all(c >= 0 for c in nu) for nu in psi.elements):
-        return False
     negatives = {tuple(-c for c in w) for w in rs.positive_root_weights}
-    if not set(psi.elements) <= negatives:
+    if not psi <= negatives:
         return False
     for xi in V_weights.entries:
         if rs.is_dominant(xi):
             for i in range(rs.rank):
                 shifted = tuple(x + c for x, c in zip(xi, rs.cartan[i]))
-                if shifted in psi.elements:
+                if shifted in psi:
                     return False
     return True
 
 
 def checked_psi(rs: RootSystem, psi: PsiSet) -> PsiSet:
-    """Check a hand-built set (the face condition by exact LP) and return a
-    flagged copy; raises when a condition fails.  A checked set is returned
-    unchanged."""
-    if psi.checked:
-        return psi
+    """Return psi when it is a face of the adjoint weight polytope and meets
+    the support conditions; raise ValueError otherwise."""
+    psi = frozenset(psi)
     adj = adjoint_char(rs)
-    if not check_polytope_condition(psi, adj):
+    if not check_polytope_condition(rs, psi, adj):
         raise ValueError("psi fails the weight-polytope face condition")
     if not check_psi_extra(rs, psi, adj):
         raise ValueError("psi fails the support conditions")
-    return replace(psi, checked=True)
+    return psi
 
 
 # -- the Psi-distance ------------------------------------------------------------
@@ -167,7 +149,7 @@ _d_psi_cache = register_cache(BoundedCache())
 
 def _psi_root_coords(rs: RootSystem, psi: PsiSet) -> tuple[tuple[int, ...], ...]:
     out = []
-    for nu in psi.elements:
+    for nu in psi:
         coords = integral_root_coords(rs, nu)
         if coords is None or any(c > 0 for c in coords):
             raise ValueError(f"psi element {nu} is not a negative root")
@@ -280,10 +262,9 @@ def gamma_psi(rs: RootSystem, psi: PsiSet, base: LambdaPoint, ell: int) -> Gamma
     Candidate weights are the dominant weights under base.weight in the root
     order, kept when the psi-distance is defined; the multidegrees of a kept
     weight are all shifts of the base degree by a vector of the matching
-    total degree.
+    total degree.  psi goes through :func:`checked_psi` first.
     """
-    if not psi.checked:
-        raise ValueError("psi conditions unverified; build it with psi_i or run checked_psi")
+    psi = checked_psi(rs, psi)
     lam = tuple(base.weight)
     if not rs.is_dominant(lam):
         raise ValueError(f"base weight {lam} is not dominant")

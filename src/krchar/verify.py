@@ -11,6 +11,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
+from . import ratlp
 from .graded import (
     GradedChar,
     gch_N,
@@ -22,8 +23,7 @@ from .graded import (
 )
 from .poset import (
     LambdaPoint,
-    PsiSet,
-    checked_psi,
+    check_psi_extra,
     compositions,
     d_psi,
     gamma_psi,
@@ -33,6 +33,7 @@ from .poset import (
 )
 from .repchar import (
     ModuleSpec,
+    adjoint_char,
     freudenthal,
     iso_decompose,
     tensor_decompose,
@@ -175,15 +176,18 @@ def check_psi_structure() -> CheckResult:
     for label in ("D4", "D5"):
         rs = build_root_system(label)
         for i in (1, *rs.spin_nodes):
-            if psi_i(rs, i).elements:
+            if psi_i(rs, i):
                 return _fail(name, f"{label}: psi_{i} should be empty")
         theta = rs.highest_root.weight
-        if psi_i(rs, 2).elements != {tuple(-c for c in theta)}:
+        if psi_i(rs, 2) != {tuple(-c for c in theta)}:
             return _fail(name, f"{label}: psi_2 is not the negated highest root")
+        adj = adjoint_char(rs)
         for i in range(1, rs.rank + 1):
-            # psi_i raises unless its set is the face of omega_i; an unflagged
-            # copy makes the exact LP prove the face condition independently.
-            checked_psi(rs, PsiSet(psi_i(rs, i).elements))  # raises on failure
+            # The exact LP proves the face condition independently of the
+            # integer test that checked_psi runs.
+            psi = psi_i(rs, i)
+            if not ratlp.exposes(psi, adj.entries) or not check_psi_extra(rs, psi, adj):
+                return _fail(name, f"{label}: psi_{i} is not a face meeting the support conditions")
     d5 = build_root_system("D5")
     if len(psi_i(d5, 3)) != 3:
         return _fail(name, "D5: psi_3 should have three elements")

@@ -122,6 +122,19 @@ def test_gch_latex(capsys):
     assert out == "\\ch V(\\omega_{3}) + \\ch V(\\omega_{1})\\, t_{1}"
 
 
+@pytest.mark.parametrize("argv", [
+    ["gamma", "--algebra", "D5", "--weight", "0,0,2,0,0"],
+    ["ext", "--algebra", "D4", "--from", "0,1,0,0@0", "--to", "0,0,0,0@1", "--j", "1"],
+    ["psi", "--algebra", "D5", "--node", "3"],
+])
+def test_latex_only_where_it_is_printed(argv, capsys):
+    # gamma, ext and psi print plain or JSON only; latex is refused, not ignored.
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--format", "latex"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'latex'" in capsys.readouterr().err
+
+
 def test_gch_has_no_mode_option(capsys):
     # gch has one route; the per-weight-psi recursion is verify's oracle.
     with pytest.raises(SystemExit) as exc:
@@ -230,6 +243,15 @@ def test_psi_needs_node_or_weight(capsys):
     assert main(["psi", "--algebra", "D4", "--node", "2", "--weight", "0,1,0,0"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["psi", "--algebra", "D4", "--node", "9"],
+    ["gamma", "--algebra", "D4", "--weight", "0,1,0,0", "--node", "0"],
+])
+def test_node_out_of_range_exits_2(argv, capsys):
+    assert main(argv) == 2
+    assert "out of range 1..4" in capsys.readouterr().err
+
+
 def test_verify_failure_exit_code(monkeypatch, capsys):
     import krchar.verify as verify_mod
     from krchar.verify import CheckResult
@@ -279,7 +301,7 @@ def test_gamma_json_round_trip_full_matrix():
     from krchar.verify import acceptance_matrix
 
     for rs, lam, ell in acceptance_matrix():
-        psi = checked_psi(rs, psi_i(rs, i_lambda(rs, lam)))
+        psi = psi_i(rs, i_lambda(rs, lam))
         gamma = gamma_psi(rs, psi, LambdaPoint(lam, (0,) * ell), ell)
         algebra, back = gamma_from_json(
             json.loads(json.dumps(gamma_to_json(rs.lie_type, gamma)))
@@ -294,8 +316,29 @@ def test_gamma_from_json_returns_a_checked_psi_set():
     gamma = gamma_psi(rs, psi_i(rs, 2), LambdaPoint((0, 1, 0, 0), (0, 0)), 2)
     doc = json.loads(json.dumps(gamma_to_json(rs.lie_type, gamma)))
     _, back = gamma_from_json(doc)
-    assert back.psi.checked
-    assert gamma_psi(rs, back.psi, back.base, 2) == gamma
+    assert back.psi == psi_i(rs, 2)
+    assert checked_psi(rs, back.psi) is back.psi
+    assert back == gamma and back.d_of == gamma.d_of
+
+
+def _d5_2omega3_doc():
+    rs = build_root_system("D5")
+    gamma = gamma_psi(rs, psi_i(rs, 3), LambdaPoint((0, 0, 2, 0, 0), (0, 0)), 2)
+    return json.loads(json.dumps(gamma_to_json(rs.lie_type, gamma)))
+
+
+def test_gamma_from_json_rejects_a_missing_point():
+    doc = _d5_2omega3_doc()
+    del doc["points"][1]
+    with pytest.raises(ValueError, match="differ from the enumeration"):
+        gamma_from_json(doc)
+
+
+def test_gamma_from_json_rejects_an_edited_distance():
+    doc = _d5_2omega3_doc()
+    doc["points"][1]["d"] = 9
+    with pytest.raises(ValueError, match="differ from the enumeration"):
+        gamma_from_json(doc)
 
 
 def test_gamma_from_json_rejects_a_tampered_psi():

@@ -18,8 +18,6 @@ from krchar.graded import (
 )
 from krchar.poset import (
     LambdaPoint,
-    PsiSet,
-    checked_psi,
     compositions,
     gamma_psi,
     i_lambda,
@@ -34,7 +32,7 @@ D5 = build_root_system("D5")
 
 
 def _gamma(rs, node, lam, ell):
-    psi = checked_psi(rs, psi_i(rs, node))
+    psi = psi_i(rs, node)
     base = LambdaPoint(lam, (0,) * ell)
     return base, gamma_psi(rs, psi, base, ell)
 
@@ -124,7 +122,7 @@ def test_matrix_E_d4_kr_entries_match_tensor_oracle():
 def test_matrix_A_a1_face_of_omega1():
     # For A1 the coefficient-two set is empty, so use the face of omega_1
     # directly: psi = {-alpha_1}.
-    psi = checked_psi(A1, PsiSet(frozenset({(-2,)})))
+    psi = frozenset({(-2,)})
     base = LambdaPoint((2,), (0,))
     gamma = gamma_psi(A1, psi, base, 1)
     assert [p.weight for p in gamma.points] == [(2,), (0,)]
@@ -192,7 +190,7 @@ def test_gch_direct_equals_recursive(rs, node, lam, ell):
 
 def test_gch_shift_equivariance():
     ms = ModuleSpec.adjoint(D4, 2)
-    psi = checked_psi(D4, psi_i(D4, 2))
+    psi = psi_i(D4, 2)
     lam = omega_weight(4, (2, 2))
     base0 = LambdaPoint(lam, (0, 0))
     gamma0 = gamma_psi(D4, psi, base0, 2)
@@ -330,7 +328,7 @@ def test_gch_cross_path_on_fundamental_pairs():
         rs = build_root_system(label)
         for i, j in combinations(range(1, rs.rank + 1), 2):
             lam = omega_weight(rs.rank, (i, 1), (j, 1))
-            psi = checked_psi(rs, psi_i(rs, i_lambda(rs, lam)))
+            psi = psi_i(rs, i_lambda(rs, lam))
             for ell in (1, 2, 3):
                 ms = ModuleSpec.adjoint(rs, ell)
                 base = LambdaPoint(lam, (0,) * ell)
@@ -351,7 +349,7 @@ def test_gch_cross_path_on_fundamental_pairs():
 def test_identity_stack_on_b_c_a_types(label, lam_terms):
     rs = build_root_system(label)
     lam = omega_weight(rs.rank, *lam_terms)
-    psi = checked_psi(rs, psi_i(rs, i_lambda(rs, lam)))
+    psi = psi_i(rs, i_lambda(rs, lam))
     for ell in (1, 2):
         ms = ModuleSpec.adjoint(rs, ell)
         base = LambdaPoint(lam, (0,) * ell)

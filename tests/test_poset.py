@@ -1,6 +1,7 @@
 """Tests for Psi-sets, the refined order, distances and Gamma enumeration."""
 
 import os
+import random
 import subprocess
 import sys
 from itertools import product
@@ -11,7 +12,6 @@ import pytest
 from krchar.poset import (
     GammaSet,
     LambdaPoint,
-    PsiSet,
     check_polytope_condition,
     check_psi_extra,
     checked_psi,
@@ -26,10 +26,12 @@ from krchar.poset import (
     psi_lambda,
     psi_of_mu,
 )
+from krchar.ratlp import exposes
 from krchar.repchar import ModuleSpec, adjoint_char
 from krchar.rootsys import build_root_system, omega_weight
 
 A1 = build_root_system("A1")
+A2 = build_root_system("A2")
 D4 = build_root_system("D4")
 D5 = build_root_system("D5")
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -43,14 +45,14 @@ def _neg(w):
 
 def test_psi_i_empty_for_node_one_and_spin_nodes():
     for rs in (D4, D5):
-        assert psi_i(rs, 1).elements == frozenset()
+        assert psi_i(rs, 1) == frozenset()
         for node in rs.spin_nodes:
-            assert psi_i(rs, node).elements == frozenset()
+            assert psi_i(rs, node) == frozenset()
 
 
 def test_psi_2_is_minus_highest_root():
-    assert psi_i(D4, 2).elements == {_neg(D4.highest_root.weight)}
-    assert psi_i(D5, 2).elements == {_neg(D5.highest_root.weight)}
+    assert psi_i(D4, 2) == {_neg(D4.highest_root.weight)}
+    assert psi_i(D5, 2) == {_neg(D5.highest_root.weight)}
 
 
 def test_psi_3_d5_brute_force():
@@ -59,7 +61,7 @@ def test_psi_3_d5_brute_force():
         _neg(r.weight) for r in D5.positive_roots if r.coords[2] == 2
     }
     assert len(expected) == 3
-    assert psi_i(D5, 3).elements == expected
+    assert psi_i(D5, 3) == expected
 
 
 def test_psi_i_node_range():
@@ -70,12 +72,12 @@ def test_psi_i_node_range():
 
 
 def test_psi_of_mu_matches_psi_i():
-    assert psi_of_mu(D4, omega_weight(4, (2, 1))).elements == psi_i(D4, 2).elements
-    assert psi_of_mu(D5, omega_weight(5, (3, 1))).elements == psi_i(D5, 3).elements
+    assert psi_of_mu(D4, omega_weight(4, (2, 1))) == psi_i(D4, 2)
+    assert psi_of_mu(D5, omega_weight(5, (3, 1))) == psi_i(D5, 3)
 
 
 def test_psi_of_mu_a1():
-    assert psi_of_mu(A1, (1,)).elements == {(-2,)}
+    assert psi_of_mu(A1, (1,)) == {(-2,)}
 
 
 def test_psi_of_mu_validation():
@@ -87,29 +89,29 @@ def test_i_lambda():
     assert i_lambda(D5, (0,) * 5) == 1
     assert i_lambda(D5, omega_weight(5, (3, 2))) == 3
     assert i_lambda(D4, omega_weight(4, (4, 1))) == 1  # spin-only support
-    assert psi_lambda(D4, omega_weight(4, (4, 1))).elements == frozenset()
+    assert psi_lambda(D4, omega_weight(4, (4, 1))) == frozenset()
     assert i_lambda(D5, omega_weight(5, (2, 1), (5, 3))) == 2  # spin part ignored
 
 
 # -- condition checks -----------------------------------------------------------------
 
 def test_polytope_condition_empty_set():
-    assert check_polytope_condition(PsiSet(frozenset()), adjoint_char(D4))
+    assert check_polytope_condition(D4, frozenset(), adjoint_char(D4))
 
 
 def test_polytope_condition_face():
-    assert check_polytope_condition(psi_i(D4, 2), adjoint_char(D4))
-    assert check_polytope_condition(psi_i(D5, 3), adjoint_char(D5))
+    assert check_polytope_condition(D4, psi_i(D4, 2), adjoint_char(D4))
+    assert check_polytope_condition(D5, psi_i(D5, 3), adjoint_char(D5))
 
 
 def test_polytope_condition_interior_point_fails():
     # {-alpha_1, 0} for A1: zero is interior to the segment [-alpha_1, alpha_1].
-    raw = PsiSet(frozenset({(-2,), (0,)}))
-    assert not check_polytope_condition(raw, adjoint_char(A1))
+    raw = frozenset({(-2,), (0,)})
+    assert not check_polytope_condition(A1, raw, adjoint_char(A1))
     # Brute-force witness of the violated counting condition: 2*0 = (empty sum)
     # uses two psi elements against zero weights of V.
     found = False
-    psi_list = sorted(raw.elements)
+    psi_list = sorted(raw)
     wt = sorted(adjoint_char(A1).entries)
     for ms in product(range(3), repeat=len(psi_list)):
         lhs = tuple(sum(m * v[0] for m, v in zip(ms, psi_list)) for _ in (0,))
@@ -122,26 +124,34 @@ def test_polytope_condition_interior_point_fails():
 
 def test_polytope_condition_requires_containment():
     with pytest.raises(ValueError):
-        check_polytope_condition(PsiSet(frozenset({(5,)})), adjoint_char(A1))
+        check_polytope_condition(A1, frozenset({(5,)}), adjoint_char(A1))
 
 
 def test_psi_extra():
-    assert check_psi_extra(D5, PsiSet(frozenset()), adjoint_char(D5))
+    assert check_psi_extra(D5, frozenset(), adjoint_char(D5))
     assert check_psi_extra(D5, psi_i(D5, 3), adjoint_char(D5))
     # A raw set containing the highest root hits the dominant cone.
     theta = D4.highest_root.weight
-    assert not check_psi_extra(D4, PsiSet(frozenset({theta})), adjoint_char(D4))
+    assert not check_psi_extra(D4, frozenset({theta}), adjoint_char(D4))
 
 
-def test_checked_psi_sets_flags():
-    raw = PsiSet(psi_i(D5, 3).elements)
-    assert not raw.checked
-    psi = checked_psi(D5, raw)
-    assert psi.checked and psi.elements == raw.elements
-    built = psi_i(D5, 3)
-    assert checked_psi(D5, built) is built  # already checked: returned unchanged
+# Sets that gamma_psi and checked_psi must refuse: a hand-built non-face, a
+# face of positive roots and a set outside the weights of the adjoint module.
+REFUSED_PSI = [
+    (A1, frozenset({(-2,), (0,)})),           # zero is interior
+    (A2, frozenset({(-2, 1), (1, -2)})),      # {-alpha_1, -alpha_2}: not a face
+    (D4, frozenset({D4.highest_root.weight})),  # a face, but a positive root
+    (A1, frozenset({(-4,)})),                 # not a weight of the adjoint module
+]
+
+
+@pytest.mark.parametrize("rs,psi", REFUSED_PSI,
+                         ids=["interior-zero", "A2-non-face", "positive-root", "not-a-weight"])
+def test_checked_psi_refuses_non_faces_and_non_negative_roots(rs, psi):
     with pytest.raises(ValueError):
-        checked_psi(A1, PsiSet(frozenset({(-2,), (0,)})))
+        checked_psi(rs, psi)
+    with pytest.raises(ValueError):
+        gamma_psi(rs, psi, LambdaPoint((2,) * rs.rank, (0,)), 1)
 
 
 CLASSICAL_RANK_8 = (
@@ -154,12 +164,13 @@ ORACLE_LABELS = (
 )
 
 
-def test_psi_i_is_checked_on_construction():
+def test_psi_i_is_the_coefficient_two_set():
     count = 0
     for label in CLASSICAL_RANK_8:
         rs = build_root_system(label)
         for i in range(1, rs.rank + 1):
-            assert psi_i(rs, i).checked, f"{label} psi_{i}"
+            expected = {_neg(r.weight) for r in rs.positive_roots if r.coords[i - 1] == 2}
+            assert psi_i(rs, i) == expected, f"{label} psi_{i}"
             count += 1
     assert count == 136
 
@@ -168,9 +179,53 @@ def test_psi_i_is_checked_on_construction():
 def test_psi_i_passes_the_lp_oracle(label):
     # The exact LP re-proves the face condition that psi_i has by construction.
     rs = build_root_system(label)
+    points = adjoint_char(rs).entries
     for i in range(1, rs.rank + 1):
-        psi = psi_i(rs, i)
-        assert checked_psi(rs, PsiSet(psi.elements)) == psi
+        assert exposes(psi_i(rs, i), points), f"{label} psi_{i}"
+
+
+def _pairing(rs, mu):
+    """(x, mu) for every weight x of the adjoint module, in integers."""
+    values = {(0,) * rs.rank: 0}
+    for root in rs.positive_roots:
+        value = sum(c * d * m for c, d, m in zip(root.coords, rs.half_lengths, mu))
+        values[root.weight], values[_neg(root.weight)] = value, -value
+    return values
+
+
+def test_every_face_of_a_01_weight_passes_the_face_test():
+    # Up to the Weyl group every face of the adjoint weight polytope is the set
+    # minimised (or maximised) by a dominant weight with 0/1 coordinates.
+    count = 0
+    for label in CLASSICAL_RANK_8:
+        rs = build_root_system(label)
+        adj = adjoint_char(rs)
+        faces = set()
+        for mu in product((0, 1), repeat=rs.rank):
+            if not any(mu):
+                continue
+            values = _pairing(rs, mu)
+            for extreme in (min(values.values()), max(values.values())):
+                faces.add(frozenset(x for x, v in values.items() if v == extreme))
+        for face in faces:
+            assert check_polytope_condition(rs, face, adj), f"{label} {sorted(face)}"
+        count += len(faces)
+    assert count == 542
+
+
+def test_face_test_agrees_with_the_lp_on_random_subsets():
+    rng = random.Random(20251018)
+    faces = 0
+    for label in ("A1", "A2", "A3", "B2", "B3", "C2", "C3", "D4"):
+        rs = build_root_system(label)
+        adj = adjoint_char(rs)
+        weights = sorted(adj.entries)
+        for _ in range(40):
+            subset = frozenset(rng.sample(weights, rng.randint(1, min(4, len(weights)))))
+            expected = exposes(subset, weights)
+            assert check_polytope_condition(rs, subset, adj) == expected, f"{label} {sorted(subset)}"
+            faces += expected
+    assert 0 < faces < 320
 
 
 # -- distances ---------------------------------------------------------------------
@@ -201,7 +256,7 @@ def test_d_psi_paper_values_d5():
 def test_d_psi_incomparable():
     psi = psi_i(D4, 2)
     assert d_psi(D4, psi, omega_weight(4, (2, 1)), omega_weight(4, (1, 1))) is None
-    assert d_psi(D4, PsiSet(frozenset()), omega_weight(4, (2, 1)), (0,) * 4) is None
+    assert d_psi(D4, frozenset(), omega_weight(4, (2, 1)), (0,) * 4) is None
 
 
 # -- cover relation and refined order ---------------------------------------------
@@ -243,8 +298,10 @@ def test_leq_psi():
 
 def test_gamma_requires_checked_psi():
     base = LambdaPoint(omega_weight(4, (2, 2)), (0,))
-    with pytest.raises(ValueError):
-        gamma_psi(D4, PsiSet(psi_i(D4, 2).elements), base, 1)
+    with pytest.raises(ValueError, match="face condition"):
+        gamma_psi(D4, frozenset({(-2, 1, 0, 0), (0, -1, 0, 0)}), base, 1)
+    with pytest.raises(ValueError, match="support conditions"):
+        gamma_psi(D4, frozenset({D4.highest_root.weight}), base, 1)
     assert len(gamma_psi(D4, psi_i(D4, 2), base, 1)) == 3
 
 
@@ -271,7 +328,7 @@ else:
 
 
 def test_gamma_empty_psi_is_singleton():
-    psi = checked_psi(D4, psi_i(D4, 1))
+    psi = psi_i(D4, 1)
     base = LambdaPoint(omega_weight(4, (1, 3)), (0, 0))
     gamma = gamma_psi(D4, psi, base, 2)
     assert gamma.points == (base,)
@@ -279,7 +336,7 @@ def test_gamma_empty_psi_is_singleton():
 
 @pytest.mark.parametrize("m,ell", [(1, 1), (2, 2), (3, 2), (4, 3)])
 def test_gamma_kr_structure(m, ell):
-    psi = checked_psi(D4, psi_i(D4, 2))
+    psi = psi_i(D4, 2)
     base = LambdaPoint(omega_weight(4, (2, m)), (0,) * ell)
     gamma = gamma_psi(D4, psi, base, ell)
     expected = {
@@ -294,7 +351,7 @@ def test_gamma_kr_structure(m, ell):
 
 
 def test_gamma_d5_2omega3_weights_and_distances():
-    psi = checked_psi(D5, psi_i(D5, 3))
+    psi = psi_i(D5, 3)
     base = LambdaPoint(omega_weight(5, (3, 2)), (0, 0))
     gamma = gamma_psi(D5, psi, base, 2)
     expected_d = {
@@ -316,7 +373,7 @@ def test_gamma_d5_2omega3_weights_and_distances():
 
 
 def test_gamma_translation_equivariance():
-    psi = checked_psi(D5, psi_i(D5, 3))
+    psi = psi_i(D5, 3)
     lam = omega_weight(5, (3, 2))
     shift = (1, 2)
     g0 = gamma_psi(D5, psi, LambdaPoint(lam, (0, 0)), 2)
@@ -329,7 +386,7 @@ def test_gamma_translation_equivariance():
 
 
 def test_gamma_convexity_and_antisymmetry():
-    psi = checked_psi(D5, psi_i(D5, 3))
+    psi = psi_i(D5, 3)
     base = LambdaPoint(omega_weight(5, (3, 2)), (0, 0))
     gamma = gamma_psi(D5, psi, base, 2)
     weights = sorted(gamma.d_of)
@@ -356,7 +413,7 @@ def test_gamma_convexity_and_antisymmetry():
 def test_gamma_refines_cover_order():
     # A one-step rise in the refined order is an actual cover.
     ms = ModuleSpec.adjoint(D5, 2)
-    psi = checked_psi(D5, psi_i(D5, 3))
+    psi = psi_i(D5, 3)
     base = LambdaPoint(omega_weight(5, (3, 2)), (0, 0))
     gamma = gamma_psi(D5, psi, base, 2)
     for a in gamma.points:
@@ -366,7 +423,7 @@ def test_gamma_refines_cover_order():
 
 
 def test_d_psi_additivity_on_gamma_chains():
-    psi = checked_psi(D5, psi_i(D5, 3))
+    psi = psi_i(D5, 3)
     base = LambdaPoint(omega_weight(5, (3, 2)), (0,))
     gamma = gamma_psi(D5, psi, base, 1)
     weights = sorted(gamma.d_of)
