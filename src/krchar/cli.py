@@ -7,7 +7,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from contextlib import contextmanager
 
 from . import cache as cache_io
 from .graded import GradedChar, ext_dim, gch_N
@@ -21,7 +21,7 @@ from .poset import (
     psi_i,
     psi_of_mu,
 )
-from .repchar import IsoChar, ModuleSpec, active_tensor_cache, adjoint_char, tensor_decompose
+from .repchar import IsoChar, ModuleSpec, active_tensor_cache, tensor_decompose
 from .rootsys import LieType, RootSystem, build_root_system, parse_lie_type
 from .verify import run_suite
 
@@ -30,21 +30,6 @@ ENV_CACHE = "KRCHAR_CACHE"
 
 class InputError(ValueError):
     """Raised for malformed job input; mapped to exit code 2."""
-
-
-@dataclass
-class JobSpec:
-    command: str
-    algebra: LieType | None = None
-    weights: list[tuple[int, ...]] = field(default_factory=list)
-    ell: int = 1
-    points: list[tuple[tuple[int, ...], tuple[int, ...]]] = field(default_factory=list)
-    j: int | None = None
-    node: int | None = None
-    degree: tuple[int, ...] | None = None
-    format: str = "plain"
-    suite: str = "all"
-    cache_path: str | None = None
 
 
 # -- input parsing ---------------------------------------------------------------
@@ -212,22 +197,50 @@ def gamma_plain(gamma: GammaSet) -> str:
 
 
 # -- command handlers ----------------------------------------------------------------
+# Each handler parses and checks its own arguments, then returns (exit code,
+# output text).
 
-def _run_gch(job: JobSpec) -> tuple[int, str]:
-    rs = build_root_system(job.algebra)
-    (lam,) = job.weights
+def _ell(args: argparse.Namespace) -> int:
+    if args.ell < 1:
+        raise InputError(f"ell must be positive, got {args.ell}")
+    return args.ell
+
+
+@contextmanager
+def _tensor_store(args: argparse.Namespace):
+    """Load the persistent tensor store ($KRCHAR_CACHE, else --cache) for the
+    body; rewrite it only when the body succeeded and computed a decomposition
+    or dropped a corrupt line."""
+    path = os.environ.get(ENV_CACHE) or args.cache_path
+    cache = active_tensor_cache()
+    before = (cache.computed, cache.dropped)
+    if path:
+        cache_io.cache_load(path, cache)
+    yield
+    if path and (cache.computed, cache.dropped) != before:
+        cache_io.cache_store(path, cache)
+
+
+def _run_gch(args: argparse.Namespace) -> tuple[int, str]:
+    algebra = parse_lie_type(args.algebra)
+    lam = parse_coords(args.weight)
+    ell = _ell(args)
+    rs = build_root_system(algebra)
     _require_dominant(rs, lam)
-    g = gch_N(rs, lam, job.ell)
-    if job.format == "json":
-        return 0, json.dumps(graded_to_json(rs.lie_type, job.ell, g), indent=2)
-    if job.format == "latex":
+    g = gch_N(rs, lam, ell)
+    if args.format == "json":
+        return 0, json.dumps(graded_to_json(rs.lie_type, ell, g), indent=2)
+    if args.format == "latex":
         return 0, graded_latex(g)
     return 0, graded_plain(g)
 
 
-def _run_ext(job: JobSpec) -> tuple[int, str]:
-    rs = build_root_system(job.algebra)
-    (a_w, a_d), (b_w, b_d) = job.points
+def _run_ext(args: argparse.Namespace) -> tuple[int, str]:
+    algebra = parse_lie_type(args.algebra)
+    (a_w, a_d), (b_w, b_d) = parse_point(args.source), parse_point(args.target)
+    if args.j < 0:
+        raise InputError(f"cohomological degree must be nonnegative, got {args.j}")
+    rs = build_root_system(algebra)
     _require_dominant(rs, a_w, "source weight")
     _require_dominant(rs, b_w, "target weight")
     if len(a_d) != len(b_d):
@@ -235,58 +248,65 @@ def _run_ext(job: JobSpec) -> tuple[int, str]:
             f"degree vectors {list(a_d)} and {list(b_d)} have different lengths"
         )
     ms = ModuleSpec.adjoint(rs, len(a_d))
-    value = ext_dim(rs, ms, LambdaPoint(a_w, a_d), LambdaPoint(b_w, b_d), job.j)
-    if job.format == "json":
-        return 0, json.dumps({"algebra": str(rs.lie_type), "j": job.j, "value": value})
+    value = ext_dim(rs, ms, LambdaPoint(a_w, a_d), LambdaPoint(b_w, b_d), args.j)
+    if args.format == "json":
+        return 0, json.dumps({"algebra": str(rs.lie_type), "j": args.j, "value": value})
     return 0, str(value)
 
 
-def _run_gamma(job: JobSpec) -> tuple[int, str]:
-    rs = build_root_system(job.algebra)
-    (lam,) = job.weights
+def _run_gamma(args: argparse.Namespace) -> tuple[int, str]:
+    algebra = parse_lie_type(args.algebra)
+    lam = parse_coords(args.weight)
+    ell = _ell(args)
+    degree = parse_coords(args.degree, "degree") if args.degree is not None else (0,) * ell
+    rs = build_root_system(algebra)
     _require_dominant(rs, lam)
-    degree = job.degree if job.degree is not None else (0,) * job.ell
-    if len(degree) != job.ell:
-        raise InputError(f"degree {list(degree)} does not have length ell={job.ell}")
-    node = job.node if job.node is not None else i_lambda(rs, lam)
+    if len(degree) != ell:
+        raise InputError(f"degree {list(degree)} does not have length ell={ell}")
+    node = args.node if args.node is not None else i_lambda(rs, lam)
     psi = psi_i(rs, node)  # raises on a node out of range
-    gamma = gamma_psi(rs, psi, LambdaPoint(lam, degree), job.ell)
-    if job.format == "json":
+    gamma = gamma_psi(rs, psi, LambdaPoint(lam, degree), ell)
+    if args.format == "json":
         return 0, json.dumps(gamma_to_json(rs.lie_type, gamma), indent=2)
     return 0, gamma_plain(gamma)
 
 
-def _run_tensor(job: JobSpec) -> tuple[int, str]:
-    rs = build_root_system(job.algebra)
-    if len(job.weights) != 2:
+def _run_tensor(args: argparse.Namespace) -> tuple[int, str]:
+    algebra = parse_lie_type(args.algebra)
+    weights = [parse_coords(w) for w in args.weight]
+    rs = build_root_system(algebra)
+    if len(weights) != 2:
         raise InputError("tensor needs exactly two --weight arguments")
-    lam, nu = job.weights
+    lam, nu = weights
     _require_dominant(rs, lam)
     _require_dominant(rs, nu)
-    iso = tensor_decompose(rs, lam, nu)
-    if job.format == "json":
+    with _tensor_store(args):
+        iso = tensor_decompose(rs, lam, nu)
+    if args.format == "json":
         return 0, json.dumps(iso_to_json(rs.lie_type, iso), indent=2)
-    if job.format == "latex":
+    if args.format == "latex":
         return 0, iso_latex(iso)
     return 0, iso_plain(iso)
 
 
-def _run_psi(job: JobSpec) -> tuple[int, str]:
-    rs = build_root_system(job.algebra)
-    if (job.node is None) == (not job.weights):
+def _run_psi(args: argparse.Namespace) -> tuple[int, str]:
+    algebra = parse_lie_type(args.algebra)
+    # --weight is parsed first, so a bad token is named before the
+    # exactly-one check.
+    mu = parse_coords(args.weight) if args.weight is not None else None
+    rs = build_root_system(algebra)
+    if (args.node is None) == (mu is None):
         raise InputError("psi needs exactly one of --node or --weight")
-    if job.node is not None:
-        psi = psi_i(rs, job.node)  # raises on a node out of range
-        header = f"psi_{job.node} for {rs.lie_type}"
+    if args.node is not None:
+        psi = psi_i(rs, args.node)  # raises on a node out of range
+        header = f"psi_{args.node} for {rs.lie_type}"
     else:
-        (mu,) = job.weights
         _require_dominant(rs, mu)
         psi = psi_of_mu(rs, mu)
         header = f"psi({list(mu)}) for {rs.lie_type}"
-    adj = adjoint_char(rs)
-    polytope = check_polytope_condition(rs, psi, adj)
-    extra = check_psi_extra(rs, psi, adj)
-    if job.format == "json":
+    polytope = check_polytope_condition(rs, psi)
+    extra = check_psi_extra(rs, psi)
+    if args.format == "json":
         return 0, json.dumps({
             "algebra": str(rs.lie_type),
             "elements": [list(w) for w in sorted(psi)],
@@ -303,8 +323,9 @@ def _run_psi(job: JobSpec) -> tuple[int, str]:
     return 0, "\n".join(lines)
 
 
-def _run_verify(job: JobSpec) -> tuple[int, str]:
-    results = run_suite(job.suite)
+def _run_verify(args: argparse.Namespace) -> tuple[int, str]:
+    with _tensor_store(args):
+        results = run_suite(args.suite)
     lines = []
     failed = 0
     for res in results:
@@ -314,34 +335,6 @@ def _run_verify(job: JobSpec) -> tuple[int, str]:
         failed += not res.ok
     lines.append(f"{len(results) - failed}/{len(results)} checks passed")
     return (1 if failed else 0), "\n".join(lines)
-
-
-_HANDLERS = {
-    "gch": _run_gch,
-    "ext": _run_ext,
-    "gamma": _run_gamma,
-    "tensor": _run_tensor,
-    "psi": _run_psi,
-    "verify": _run_verify,
-}
-
-
-def run(job: JobSpec) -> tuple[int, str]:
-    """Dispatch a validated job; returns (exit code, output text).  Only
-    ``tensor`` and ``verify`` read tensor decompositions, so only they load
-    the persistent store; they rewrite it only when they computed one or
-    dropped a corrupt line."""
-    cache_path = None
-    if job.command in ("tensor", "verify"):
-        cache_path = os.environ.get(ENV_CACHE) or job.cache_path
-    cache = active_tensor_cache()
-    before = (cache.computed, cache.dropped)
-    if cache_path:
-        cache_io.cache_load(cache_path, cache)
-    code, text = _HANDLERS[job.command](job)
-    if cache_path and (cache.computed, cache.dropped) != before:
-        cache_io.cache_store(cache_path, cache)
-    return code, text
 
 
 # -- argument parsing -----------------------------------------------------------------
@@ -354,6 +347,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def command(name, handler, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        return p
+
     def common(p, *extra_formats):
         p.add_argument("--algebra", required=True, help="algebra label, e.g. D5")
         p.add_argument("--format", choices=("plain", "json", *extra_formats), default="plain")
@@ -362,19 +360,19 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cache", dest="cache_path", default=None,
                        help=f"persistent multiplicity cache (or ${ENV_CACHE})")
 
-    p = sub.add_parser("gch", help="graded character of a generalized KR module")
+    p = command("gch", _run_gch, "graded character of a generalized KR module")
     common(p, "latex")
     p.add_argument("--weight", required=True, help="fundamental coordinates, e.g. 0,0,2,0,0")
     p.add_argument("--ell", type=int, default=1, help="number of grading variables")
 
-    p = sub.add_parser("ext", help="Ext dimension between two graded simples")
+    p = command("ext", _run_ext, "Ext dimension between two graded simples")
     common(p)
     p.add_argument("--from", dest="source", required=True, metavar="W@D",
                    help="source point, e.g. 0,0,2,0,0@0,0")
     p.add_argument("--to", dest="target", required=True, metavar="W@D")
     p.add_argument("--j", type=int, required=True, help="cohomological degree")
 
-    p = sub.add_parser("gamma", help="enumerate the convex up-set above a point")
+    p = command("gamma", _run_gamma, "enumerate the convex up-set above a point")
     common(p)
     p.add_argument("--weight", required=True)
     p.add_argument("--ell", type=int, default=1)
@@ -382,60 +380,28 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--node", type=int, default=None,
                    help="psi node override (default: largest non-spin support node)")
 
-    p = sub.add_parser("tensor", help="tensor product decomposition")
+    p = command("tensor", _run_tensor, "tensor product decomposition")
     common(p, "latex")
     store(p)
     p.add_argument("--weight", action="append", required=True,
                    help="give twice: the two dominant factors")
 
-    p = sub.add_parser("psi", help="psi set of a node or of a dominant weight")
+    p = command("psi", _run_psi, "psi set of a node or of a dominant weight")
     common(p)
     p.add_argument("--node", type=int, default=None)
     p.add_argument("--weight", default=None)
 
-    p = sub.add_parser("verify", help="run a verification suite")
+    p = command("verify", _run_verify, "run a verification suite")
     p.add_argument("--suite", choices=("paper", "identities", "all"), default="all")
     store(p)
 
     return parser
 
 
-def _job_from_args(args: argparse.Namespace) -> JobSpec:
-    job = JobSpec(command=args.command, cache_path=getattr(args, "cache_path", None))
-    if args.command != "verify":
-        job.algebra = parse_lie_type(args.algebra)
-        job.format = getattr(args, "format", "plain")
-    if args.command in ("gch", "gamma"):
-        job.weights = [parse_coords(args.weight)]
-        job.ell = args.ell
-        if job.ell < 1:
-            raise InputError(f"ell must be positive, got {job.ell}")
-    if args.command == "gamma":
-        job.node = args.node
-        if args.degree is not None:
-            job.degree = parse_coords(args.degree, "degree")
-    if args.command == "ext":
-        job.points = [parse_point(args.source), parse_point(args.target)]
-        job.j = args.j
-        if job.j < 0:
-            raise InputError(f"cohomological degree must be nonnegative, got {job.j}")
-    if args.command == "tensor":
-        job.weights = [parse_coords(w) for w in args.weight]
-    if args.command == "psi":
-        job.node = args.node
-        if args.weight is not None:
-            job.weights = [parse_coords(args.weight)]
-    if args.command == "verify":
-        job.suite = args.suite
-    return job
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        job = _job_from_args(args)
-        code, text = run(job)
+        code, text = args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -4,15 +4,12 @@ recursion."""
 
 from __future__ import annotations
 
-from math import lcm
 from typing import Iterator, NamedTuple
 
 from .repchar import (
     BoundedCache,
     register_cache,
     ModuleSpec,
-    WeightChar,
-    adjoint_char,
     component_char,
     dominant_multiplicities,
 )
@@ -21,7 +18,6 @@ from .rootsys import (
     Weight,
     integral_root_coords,
     omega_weight,
-    root_coords,
     sub_weights,
 )
 
@@ -94,34 +90,33 @@ def psi_lambda(rs: RootSystem, lam) -> PsiSet:
     return psi_i(rs, i_lambda(rs, lam))
 
 
-def check_polytope_condition(rs: RootSystem, psi: PsiSet, V_weights: WeightChar) -> bool:
-    """Face test: psi is exactly the set of weights of V on which the pairing
-    with its barycentre b = sum(psi) is largest.  Passing proves that b
-    exposes psi as a face; a face of the Weyl-invariant adjoint weight
-    polytope always passes, since its barycentre exposes it."""
-    support = V_weights.entries
-    if not psi.issubset(support):
-        raise ValueError("psi is not contained in the weight set of V")
+def check_polytope_condition(rs: RootSystem, psi: PsiSet) -> bool:
+    """Face test: psi is exactly the set of weights of the adjoint module on
+    which the pairing with its barycentre b = sum(psi) is largest.  Passing
+    proves that b exposes psi as a face; a face of the Weyl-invariant adjoint
+    weight polytope always passes, since its barycentre exposes it."""
+    table = rs.adjoint_coords
+    if not psi.issubset(table):
+        raise ValueError("psi is not contained in the weight set of the adjoint module")
     if not psi:
         return True
-    # (x, b) = sum_j c_j d_j x_j with c the root coordinates of b; scaled once
-    # to integers.
-    coords = root_coords(rs, [sum(column) for column in zip(*psi)])
-    scale = lcm(*(c.denominator for c in coords))
-    functional = [int(c * scale) * d for c, d in zip(coords, rs.half_lengths)]
-    values = {x: sum(f * c for f, c in zip(functional, x)) for x in support}
+    # (x, b) = sum_j c_j d_j x_j with c the integer root coordinates of b.
+    coords = [sum(column) for column in zip(*(table[w] for w in psi))]
+    functional = [c * d for c, d in zip(coords, rs.half_lengths)]
+    values = {x: sum(f * c for f, c in zip(functional, x)) for x in table}
     top = max(values.values())
     return psi == {x for x, value in values.items() if value == top}
 
 
-def check_psi_extra(rs: RootSystem, psi: PsiSet, V_weights: WeightChar) -> bool:
+def check_psi_extra(rs: RootSystem, psi: PsiSet) -> bool:
     """Support conditions: psi sits inside the negative roots (so it avoids
     the dominant cone and bounds the reachable dominant weights), and is
-    never hit from a dominant weight of V by adding a simple root."""
-    negatives = {tuple(-c for c in w) for w in rs.positive_root_weights}
-    if not psi <= negatives:
+    never hit from a dominant weight of the adjoint module by adding a simple
+    root."""
+    table = rs.adjoint_coords
+    if not all(w in table and sum(table[w]) < 0 for w in psi):
         return False
-    for xi in V_weights.entries:
+    for xi in table:
         if rs.is_dominant(xi):
             for i in range(rs.rank):
                 shifted = tuple(x + c for x, c in zip(xi, rs.cartan[i]))
@@ -134,10 +129,9 @@ def checked_psi(rs: RootSystem, psi: PsiSet) -> PsiSet:
     """Return psi when it is a face of the adjoint weight polytope and meets
     the support conditions; raise ValueError otherwise."""
     psi = frozenset(psi)
-    adj = adjoint_char(rs)
-    if not check_polytope_condition(rs, psi, adj):
+    if not check_polytope_condition(rs, psi):
         raise ValueError("psi fails the weight-polytope face condition")
-    if not check_psi_extra(rs, psi, adj):
+    if not check_psi_extra(rs, psi):
         raise ValueError("psi fails the support conditions")
     return psi
 
@@ -150,8 +144,8 @@ _d_psi_cache = register_cache(BoundedCache())
 def _psi_root_coords(rs: RootSystem, psi: PsiSet) -> tuple[tuple[int, ...], ...]:
     out = []
     for nu in psi:
-        coords = integral_root_coords(rs, nu)
-        if coords is None or any(c > 0 for c in coords):
+        coords = rs.adjoint_coords.get(nu)
+        if coords is None or sum(coords) >= 0:
             raise ValueError(f"psi element {nu} is not a negative root")
         out.append(coords)
     return tuple(sorted(out))

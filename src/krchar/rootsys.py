@@ -139,7 +139,11 @@ class RootSystem:
                 f"{lie_type}: found {len(self.positive_roots)} positive roots, expected {expected}"
             )
         self.highest_root_index = self._locate_highest_root()
-        self.positive_root_weights = frozenset(r.weight for r in self.positive_roots)
+        # Integer root coordinates of each adjoint weight: zero and every root.
+        self.adjoint_coords = {(0,) * n: (0,) * n}
+        for r in self.positive_roots:
+            self.adjoint_coords[r.weight] = r.coords
+            self.adjoint_coords[tuple(-c for c in r.weight)] = tuple(-c for c in r.coords)
         # (omega_i, omega_j) = (cartan^{-1})[i][j] * d[j]; exact rationals.
         inv = _invert(self.cartan)
         self.gram = tuple(

@@ -186,7 +186,7 @@ def check_psi_structure() -> CheckResult:
             # The exact LP proves the face condition independently of the
             # integer test that checked_psi runs.
             psi = psi_i(rs, i)
-            if not ratlp.exposes(psi, adj.entries) or not check_psi_extra(rs, psi, adj):
+            if not ratlp.exposes(psi, adj.entries) or not check_psi_extra(rs, psi):
                 return _fail(name, f"{label}: psi_{i} is not a face meeting the support conditions")
     d5 = build_root_system("D5")
     if len(psi_i(d5, 3)) != 3:

@@ -63,10 +63,10 @@ def test_unsupported_family_exit_code(capsys):
 def test_internal_error_exit_code(monkeypatch, capsys):
     import krchar.cli as cli_mod
 
-    def broken_invariant(job):
+    def broken_invariant(rs, lam, nu):
         raise AssertionError("negative multiplicity from Racah-Speiser")
 
-    monkeypatch.setitem(cli_mod._HANDLERS, "tensor", broken_invariant)
+    monkeypatch.setattr(cli_mod, "tensor_decompose", broken_invariant)
     assert main(["tensor", "--algebra", "A1", "--weight", "1", "--weight", "1"]) == 3
     err = capsys.readouterr().err
     assert err == "internal error: negative multiplicity from Racah-Speiser\n"
@@ -243,6 +243,13 @@ def test_psi_needs_node_or_weight(capsys):
     assert main(["psi", "--algebra", "D4", "--node", "2", "--weight", "0,1,0,0"]) == 2
 
 
+def test_psi_names_a_bad_weight_token_before_the_node_or_weight_check(capsys):
+    assert main(["psi", "--algebra", "D5", "--node", "2", "--weight", "0,x,0,0,0"]) == 2
+    assert capsys.readouterr().err == (
+        "error: invalid weight coordinate 'x' at position 2 in '0,x,0,0,0'\n"
+    )
+
+
 @pytest.mark.parametrize("argv", [
     ["psi", "--algebra", "D4", "--node", "9"],
     ["gamma", "--algebra", "D4", "--weight", "0,1,0,0", "--node", "0"],
@@ -365,27 +372,29 @@ def test_latex_multiplicity_prefix():
     assert "2\\,\\ch V(\\omega_{1}+\\omega_{3})\\, t_{1}" in text
 
 
-def test_run_job_spec_directly():
-    from krchar.cli import JobSpec, run
-    from krchar.rootsys import parse_lie_type
-
-    job = JobSpec(command="tensor", algebra=parse_lie_type("A1"),
-                  weights=[(1,), (1,)], format="json")
-    code, text = run(job)
+def test_tensor_json(capsys):
+    code = main(["tensor", "--algebra", "A1", "--weight", "1", "--weight", "1",
+                 "--format", "json"])
     assert code == 0
-    doc = json.loads(text)
+    doc = json.loads(capsys.readouterr().out)
     assert doc["entries"] == [
         {"weight": [0], "mult": 1},
         {"weight": [2], "mult": 1},
     ]
 
 
-def test_gch_leaves_no_store_behind(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("argv", [
+    ["gch", "--algebra", "D4", "--weight", "0,2,0,0"],
+    ["ext", "--algebra", "D4", "--from", "0,1,0,0@0", "--to", "0,0,0,0@1", "--j", "1"],
+    ["gamma", "--algebra", "D4", "--weight", "0,2,0,0"],
+    ["psi", "--algebra", "D4", "--node", "2"],
+], ids=["gch", "ext", "gamma", "psi"])
+def test_command_leaves_no_store_behind(argv, tmp_path, monkeypatch, capsys):
     # Only tensor and verify read tensor decompositions, so only they touch
-    # the store; gch must neither load nor write it.
+    # the store; the other commands must neither load nor write it.
     path = tmp_path / "absent.cache"
     monkeypatch.setenv("KRCHAR_CACHE", str(path))
-    assert main(["gch", "--algebra", "D4", "--weight", "0,2,0,0"]) == 0
+    assert main(argv) == 0
     capsys.readouterr()
     assert not path.exists()
 
@@ -488,6 +497,24 @@ def test_dropped_line_is_written_out_on_the_next_run(tmp_path, capsys):
     assert lines == [header, first]
     for line in lines[1:]:
         _decomposition(line.encode())  # raises if a line check fails
+
+
+@pytest.mark.parametrize("weights", [["1,-1", "1,0"], ["1,0"]],
+                         ids=["non-dominant", "one-weight"])
+def test_malformed_tensor_call_leaves_a_corrupt_store_alone(weights, tmp_path, capsys):
+    # The input is checked before the store is read: no warning about the
+    # corrupt line, and the file is not rewritten.
+    path = tmp_path / "mults.cache"
+    path.write_text('{"format": "krchar-tensor-store", "version": 1}\n["A",2,[1,0]\n')
+    data = path.read_bytes()
+    argv = ["tensor", "--algebra", "A2", "--cache", str(path)]
+    for w in weights:
+        argv += ["--weight", w]
+
+    code, out, err = _cold_run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert path.read_bytes() == data
 
 
 def test_warm_hit_does_not_rewrite_the_store(tmp_path, capsys):

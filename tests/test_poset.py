@@ -96,18 +96,18 @@ def test_i_lambda():
 # -- condition checks -----------------------------------------------------------------
 
 def test_polytope_condition_empty_set():
-    assert check_polytope_condition(D4, frozenset(), adjoint_char(D4))
+    assert check_polytope_condition(D4, frozenset())
 
 
 def test_polytope_condition_face():
-    assert check_polytope_condition(D4, psi_i(D4, 2), adjoint_char(D4))
-    assert check_polytope_condition(D5, psi_i(D5, 3), adjoint_char(D5))
+    assert check_polytope_condition(D4, psi_i(D4, 2))
+    assert check_polytope_condition(D5, psi_i(D5, 3))
 
 
 def test_polytope_condition_interior_point_fails():
     # {-alpha_1, 0} for A1: zero is interior to the segment [-alpha_1, alpha_1].
     raw = frozenset({(-2,), (0,)})
-    assert not check_polytope_condition(A1, raw, adjoint_char(A1))
+    assert not check_polytope_condition(A1, raw)
     # Brute-force witness of the violated counting condition: 2*0 = (empty sum)
     # uses two psi elements against zero weights of V.
     found = False
@@ -124,15 +124,15 @@ def test_polytope_condition_interior_point_fails():
 
 def test_polytope_condition_requires_containment():
     with pytest.raises(ValueError):
-        check_polytope_condition(A1, frozenset({(5,)}), adjoint_char(A1))
+        check_polytope_condition(A1, frozenset({(5,)}))
 
 
 def test_psi_extra():
-    assert check_psi_extra(D5, frozenset(), adjoint_char(D5))
-    assert check_psi_extra(D5, psi_i(D5, 3), adjoint_char(D5))
+    assert check_psi_extra(D5, frozenset())
+    assert check_psi_extra(D5, psi_i(D5, 3))
     # A raw set containing the highest root hits the dominant cone.
     theta = D4.highest_root.weight
-    assert not check_psi_extra(D4, frozenset({theta}), adjoint_char(D4))
+    assert not check_psi_extra(D4, frozenset({theta}))
 
 
 # Sets that gamma_psi and checked_psi must refuse: a hand-built non-face, a
@@ -199,7 +199,6 @@ def test_every_face_of_a_01_weight_passes_the_face_test():
     count = 0
     for label in CLASSICAL_RANK_8:
         rs = build_root_system(label)
-        adj = adjoint_char(rs)
         faces = set()
         for mu in product((0, 1), repeat=rs.rank):
             if not any(mu):
@@ -208,7 +207,7 @@ def test_every_face_of_a_01_weight_passes_the_face_test():
             for extreme in (min(values.values()), max(values.values())):
                 faces.add(frozenset(x for x, v in values.items() if v == extreme))
         for face in faces:
-            assert check_polytope_condition(rs, face, adj), f"{label} {sorted(face)}"
+            assert check_polytope_condition(rs, face), f"{label} {sorted(face)}"
         count += len(faces)
     assert count == 542
 
@@ -218,12 +217,11 @@ def test_face_test_agrees_with_the_lp_on_random_subsets():
     faces = 0
     for label in ("A1", "A2", "A3", "B2", "B3", "C2", "C3", "D4"):
         rs = build_root_system(label)
-        adj = adjoint_char(rs)
-        weights = sorted(adj.entries)
+        weights = sorted(adjoint_char(rs).entries)
         for _ in range(40):
             subset = frozenset(rng.sample(weights, rng.randint(1, min(4, len(weights)))))
             expected = exposes(subset, weights)
-            assert check_polytope_condition(rs, subset, adj) == expected, f"{label} {sorted(subset)}"
+            assert check_polytope_condition(rs, subset) == expected, f"{label} {sorted(subset)}"
             faces += expected
     assert 0 < faces < 320
 
@@ -257,6 +255,13 @@ def test_d_psi_incomparable():
     psi = psi_i(D4, 2)
     assert d_psi(D4, psi, omega_weight(4, (2, 1)), omega_weight(4, (1, 1))) is None
     assert d_psi(D4, frozenset(), omega_weight(4, (2, 1)), (0,) * 4) is None
+
+
+@pytest.mark.parametrize("element", [(0,), (-4,)], ids=["zero", "minus-2-alpha"])
+def test_d_psi_refuses_an_element_that_is_not_a_negative_root(element):
+    # (-4,) is -2 alpha_1, a non-positive lattice vector that is not a root.
+    with pytest.raises(ValueError, match="is not a negative root"):
+        d_psi(A1, frozenset({element}), (4,), (0,))
 
 
 # -- cover relation and refined order ---------------------------------------------

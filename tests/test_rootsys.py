@@ -307,6 +307,15 @@ def test_root_coords_examples():
     assert integral_root_coords(a1, (1,)) is None
 
 
+@pytest.mark.parametrize("label", ["A3", "B4", "C4", "D5"])
+def test_adjoint_coords_table_matches_the_rational_solve(label):
+    rs = build_root_system(label)
+    table = rs.adjoint_coords
+    assert len(table) == 2 * len(rs.positive_roots) + 1
+    for weight, coords in table.items():
+        assert integral_root_coords(rs, weight) == coords
+
+
 def test_bilinear_form_normalisation():
     # Short roots have squared length 2, long roots 4.
     for label in ("B3", "C3"):
