@@ -97,38 +97,54 @@ def ext_dim(rs: RootSystem, ms: ModuleSpec, a: LambdaPoint, b: LambdaPoint,
     return c_coefficient(rs, ms, a.weight, b.weight, k)
 
 
+def _column(rs: RootSystem, ms: ModuleSpec, gamma: GammaSet, base: LambdaPoint,
+            coefficient) -> dict[LambdaPoint, int]:
+    """The nonzero ``coefficient(base.weight, mu, s - base.degree)`` for every
+    point (mu, s) of gamma with s >= base.degree, in enumeration order."""
+    base = LambdaPoint(tuple(base.weight), tuple(base.degree))
+    if base not in gamma:
+        raise ValueError(f"base point {base} does not belong to the gamma set")
+    column: dict[LambdaPoint, int] = {}
+    for point in gamma.points:
+        k = sub_weights(point.degree, base.degree)
+        if any(x < 0 for x in k):
+            continue
+        value = coefficient(rs, ms, base.weight, point.weight, k)
+        if value:
+            column[point] = value
+    return column
+
+
 class MonomialMatrix:
     """Square matrix over Laurent polynomials in t_1..t_ell, indexed by the
     points of a GammaSet enumeration; always lower triangular with unit
-    diagonal."""
+    diagonal.  Entry (i, j) is v t^(s_i - s_j); only the integer v is stored."""
 
     def __init__(self, points, entries):
         self.points = points
-        self.entries = entries  # entries[i][j]: dict multidegree -> int
+        self.entries = entries  # entries[i][j]: the integer coefficient v
 
     @property
     def size(self) -> int:
         return len(self.points)
 
     def entry(self, i: int, j: int) -> dict[MultiDegree, int]:
-        return self.entries[i][j]
+        v = self.entries[i][j]
+        if not v:
+            return {}
+        return {sub_weights(self.points[i].degree, self.points[j].degree): v}
 
 
 def _build_matrix(rs, ms, gamma: GammaSet, coefficient) -> MonomialMatrix:
-    points = gamma.points
-    n = len(points)
-    entries = [[{} for _ in range(n)] for _ in range(n)]
-    for col, (lam, r) in enumerate(points):
-        for row, (mu, s) in enumerate(points):
-            k = sub_weights(s, r)
-            if any(x < 0 for x in k):
-                continue
-            value = coefficient(rs, ms, lam, mu, k)
-            if value:
-                if row < col or (row == col and (value != 1 or any(k))):
-                    raise AssertionError("matrix is not unitriangular")
-                entries[row][col] = {k: value}
-    return MonomialMatrix(points, entries)
+    n = len(gamma.points)
+    entries = [[0] * n for _ in range(n)]
+    for col, point in enumerate(gamma.points):
+        for target, value in _column(rs, ms, gamma, point, coefficient).items():
+            row = gamma.index_of[target]
+            if row < col or (row == col and value != 1):
+                raise AssertionError("matrix is not unitriangular")
+            entries[row][col] = value
+    return MonomialMatrix(gamma.points, entries)
 
 
 def matrix_E(rs: RootSystem, ms: ModuleSpec, gamma: GammaSet) -> MonomialMatrix:
@@ -147,30 +163,19 @@ def verify_AE_identity(rs: RootSystem, ms: ModuleSpec,
     failure the offending entry is reported."""
     A = matrix_A(rs, ms, gamma)
     E = matrix_E(rs, ms, gamma)
-    n = A.size
-    zero = (0,) * gamma.ell
-    for i in range(n):
-        for j in range(n):
-            acc: dict[MultiDegree, int] = {}
-            for k in range(j, i + 1):
-                a = A.entries[i][k]
-                e = E.entries[k][j]
-                if not a or not e:
-                    continue
-                for da, va in a.items():
-                    for de, ve in e.items():
-                        sign = -1 if deg(de) % 2 else 1
-                        key = add_weights(da, de)
-                        s = acc.get(key, 0) + va * ve * sign
-                        if s:
-                            acc[key] = s
-                        else:
-                            del acc[key]
-            expected = {zero: 1} if i == j else {}
-            if acc != expected:
-                return False, (
-                    f"entry ({gamma.points[i]}, {gamma.points[j]}) = {acc}"
-                )
+    points = gamma.points
+    # Every term of entry (i, j) has degree s_i - s_j, and E(-t) signs the
+    # k-th term by (-1)^|s_k - s_j|.
+    sign = [-1 if deg(p.degree) % 2 else 1 for p in points]
+    for i in range(A.size):
+        for j in range(i + 1):
+            total = sign[j] * sum(
+                A.entries[i][k] * E.entries[k][j] * sign[k] for k in range(j, i + 1)
+            )
+            if total != (i == j):
+                gap = sub_weights(points[i].degree, points[j].degree)
+                acc = {gap: total} if total else {}
+                return False, f"entry ({points[i]}, {points[j]}) = {acc}"
     return True, None
 
 
@@ -180,19 +185,7 @@ def gch_P_direct(rs: RootSystem, ms: ModuleSpec, base: LambdaPoint,
                  gamma: GammaSet) -> GradedChar:
     """Graded character of the projective cover at ``base`` cut to ``gamma``,
     read directly off symmetric powers of the degree-one layers."""
-    base = LambdaPoint(tuple(base.weight), tuple(base.degree))
-    if base not in gamma:
-        raise ValueError(f"base point {base} does not belong to the gamma set")
-    lam, r = base
-    entries: dict[Entry, int] = {}
-    for mu, s in gamma.points:
-        k = sub_weights(s, r)
-        if any(x < 0 for x in k):
-            continue
-        value = sym_coefficient(rs, ms, lam, mu, k)
-        if value:
-            entries[(mu, s)] = value
-    return GradedChar(entries)
+    return GradedChar(_column(rs, ms, gamma, base, sym_coefficient))
 
 
 _gch_n0_cache = register_cache(BoundedCache())
@@ -205,12 +198,11 @@ def _gch_recursive_base0(rs: RootSystem, ms: ModuleSpec, mu: Weight,
     hit = _gch_n0_cache.get(key)
     if hit is not None:
         return hit
-    zero = (0,) * ell
-    gamma = gamma_psi(rs, psi, LambdaPoint(mu, zero), ell)
-    out = GradedChar({(mu, zero): 1})
-    for nu, s in gamma.points[1:]:
-        coeff = c_coefficient(rs, ms, mu, nu, s)
-        if not coeff:
+    base = LambdaPoint(mu, (0,) * ell)
+    gamma = gamma_psi(rs, psi, base, ell)
+    out = GradedChar({base: 1})
+    for (nu, s), coeff in _column(rs, ms, gamma, base, c_coefficient).items():
+        if (nu, s) == base:
             continue
         inner_psi = psi if mode == "fixed-psi" else psi_lambda(rs, nu)
         inner = _gch_recursive_base0(rs, ms, nu, inner_psi, ell, mode)
@@ -271,26 +263,17 @@ def verify_alternating_sum(rs: RootSystem, ms: ModuleSpec, base: LambdaPoint,
     """Literal check of the alternating-sum identity on full weight
     expansions: the signed sum of the projective characters over gamma
     collapses to the single simple character at ``base``."""
-    base = LambdaPoint(tuple(base.weight), tuple(base.degree))
-    if base not in gamma:
-        raise ValueError(f"base point {base} does not belong to the gamma set")
-    lam, n = base
     total: dict[Entry, int] = {}
-    for mu, s in gamma.points:
-        k = sub_weights(s, n)
-        if any(x < 0 for x in k):
-            continue
-        coeff = c_coefficient(rs, ms, lam, mu, k)
-        if not coeff:
-            continue
-        sign = -1 if deg(s) % 2 else 1
-        expanded = expand_to_weights(rs, gch_P_direct(rs, ms, LambdaPoint(mu, s), gamma))
+    for point, coeff in _column(rs, ms, gamma, base, c_coefficient).items():
+        sign = -1 if deg(point.degree) % 2 else 1
+        expanded = expand_to_weights(rs, gch_P_direct(rs, ms, point, gamma))
         for key, v in expanded.items():
             val = total.get(key, 0) + sign * coeff * v
             if val:
                 total[key] = val
             else:
                 del total[key]
+    lam, n = tuple(base.weight), tuple(base.degree)
     sign = -1 if deg(n) % 2 else 1
     expected = {
         (w, n): sign * m for w, m in freudenthal(rs, lam).entries.items()

@@ -155,6 +155,8 @@ def d_psi(rs: RootSystem, psi: PsiSet, lam, mu) -> int | None:
     """Minimal number of psi elements (with repetition) summing to mu - lam;
     None when no such expression exists."""
     lam, mu = tuple(lam), tuple(mu)
+    if len(lam) != rs.rank or len(mu) != rs.rank:
+        raise ValueError(f"d_psi requires weights of length {rs.rank}, got {lam} and {mu}")
     diff = sub_weights(mu, lam)
     target = integral_root_coords(rs, diff)
     if target is None or any(c > 0 for c in target):

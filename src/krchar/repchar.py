@@ -246,9 +246,10 @@ def _freudenthal_tables(rs: RootSystem, lam: Weight):
                 candidates[nu] = tuple(noff)
         level = []
         for nu, off in candidates.items():
-            dom, _, lift = _descend(rs, nu)
-            if any(o < l for o, l in zip(off, lift)):
-                continue  # dominant conjugate escapes lam - Q+: not a weight
+            # A dominant nu <= lam is a weight.  Any other dom lies on an
+            # earlier level (dom - nu is in Q+), and the weights are saturated,
+            # so nu is a weight exactly when dom was found there.
+            dom, _ = _descend(rs, nu)
             if dom == nu:
                 acc = 0
                 for root in roots:
@@ -274,8 +275,10 @@ def _freudenthal_tables(rs: RootSystem, lam: Weight):
                 if m <= 0:
                     raise AssertionError(f"non-positive multiplicity at {nu}")
                 dominant[nu] = m
-            else:
+            elif dom in full:
                 m = full[dom]
+            else:
+                continue
             full[nu] = m
             offsets[nu] = off
             level.append(nu)
@@ -342,7 +345,7 @@ def _racah_speiser(rs: RootSystem, ch: WeightChar, lam: Weight) -> dict[Weight, 
     out: dict[Weight, int] = {}
     for w, m in ch.entries.items():
         target = tuple(b + x + 1 for b, x in zip(lam, w))
-        dom, parity, _ = _descend(rs, target)
+        dom, parity = _descend(rs, target)
         if 0 in dom:
             continue
         mu = tuple(c - 1 for c in dom)

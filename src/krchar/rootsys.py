@@ -223,7 +223,7 @@ class RootSystem:
         return tuple(self.cartan[i])
 
     def is_dominant(self, xi: Weight) -> bool:
-        return all(c >= 0 for c in xi)
+        return len(xi) == self.rank and all(c >= 0 for c in xi)
 
     def inner(self, x, y) -> Fraction:
         """Symmetric bilinear form on weights (short roots squared length 2)."""
@@ -255,18 +255,15 @@ def build_root_system(t: LieType | str) -> RootSystem:
     return _cached_root_system(t)
 
 
-def _descend(rs: RootSystem, xi) -> tuple[Weight, int, tuple[int, ...]]:
+def _descend(rs: RootSystem, xi) -> tuple[Weight, int]:
     """Move xi into the dominant chamber by simple reflections.
 
-    Returns (dom, parity, lift) where parity is (-1)^(number of reflections)
-    and lift gives the simple-root coordinates of dom - xi (a nonnegative
-    integer vector).
+    Returns (dom, parity) where parity is (-1)^(number of reflections).
     """
     n = rs.rank
     coords = list(xi)
     cartan = rs.cartan
     parity = 1
-    lift = [0] * n
     moved = True
     while moved:
         moved = False
@@ -276,10 +273,9 @@ def _descend(rs: RootSystem, xi) -> tuple[Weight, int, tuple[int, ...]]:
                 row = cartan[i]
                 for j in range(n):
                     coords[j] -= ci * row[j]
-                lift[i] -= ci
                 parity = -parity
                 moved = True
-    return tuple(coords), parity, tuple(lift)
+    return tuple(coords), parity
 
 
 def dominant_conjugate(rs: RootSystem, xi) -> tuple[Weight, int, bool]:
@@ -288,7 +284,7 @@ def dominant_conjugate(rs: RootSystem, xi) -> tuple[Weight, int, bool]:
     The third component is True when xi lies on a chamber wall (its orbit
     meets a coordinate hyperplane); the parity is meaningless in that case.
     """
-    dom, parity, _ = _descend(rs, xi)
+    dom, parity = _descend(rs, xi)
     return dom, parity, 0 in dom
 
 

@@ -1,6 +1,9 @@
 """CLI tests: parsing, output formats, JSON round trips and exit codes."""
 
+import hashlib
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +24,8 @@ from krchar.graded import gch_N
 from krchar.poset import LambdaPoint, checked_psi, gamma_psi, i_lambda, psi_i
 from krchar.repchar import tensor_decompose
 from krchar.rootsys import build_root_system, omega_weight
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 # -- parsing ------------------------------------------------------------------------
@@ -83,6 +88,28 @@ def test_nonpositive_ell_rejected(capsys):
 
 
 # -- gch ----------------------------------------------------------------------------
+
+def _benchmark_gch_goldens():
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        from worker import GCH_CASES
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return GCH_CASES
+
+
+@pytest.mark.parametrize("case,golden", sorted(_benchmark_gch_goldens().items()))
+def test_gch_json_matches_the_benchmark_goldens(case, golden, capsys):
+    # The sha256 of the canonical JSON, recorded by the benchmark from the
+    # seed commit: pins gch output byte for byte.
+    algebra, weight, ell = case
+    code = main(["gch", "--algebra", algebra, "--weight", weight,
+                 "--ell", str(ell), "--format", "json"])
+    assert code == 0
+    doc = json.loads(capsys.readouterr().out)
+    canon = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(canon.encode()).hexdigest() == golden
+
 
 def test_gch_json_paper_example(capsys):
     code = main([

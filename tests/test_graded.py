@@ -16,15 +16,24 @@ from krchar.graded import (
     verify_AE_identity,
     verify_alternating_sum,
 )
+from krchar import graded
 from krchar.poset import (
     LambdaPoint,
     compositions,
+    d_psi,
     gamma_psi,
     i_lambda,
     psi_i,
 )
-from krchar.repchar import IsoChar, ModuleSpec, tensor_decompose
-from krchar.rootsys import build_root_system, omega_weight
+from krchar.repchar import (
+    IsoChar,
+    ModuleSpec,
+    c_coefficient,
+    freudenthal,
+    sym_coefficient,
+    tensor_decompose,
+)
+from krchar.rootsys import build_root_system, omega_weight, weyl_dim
 
 A1 = build_root_system("A1")
 D4 = build_root_system("D4")
@@ -152,6 +161,50 @@ def test_ae_identity(rs, node, lam, ell):
     assert ok, detail
 
 
+def test_matrix_A_entries_are_gap_monomials():
+    ms = ModuleSpec.adjoint(D4, 2)
+    base, gamma = _gamma(D4, 2, omega_weight(4, (2, 2)), 2)
+    A = matrix_A(D4, ms, gamma)
+    for i, (mu, s) in enumerate(gamma.points):
+        for j, (lam, r) in enumerate(gamma.points):
+            gap = tuple(a - b for a, b in zip(s, r))
+            v = sym_coefficient(D4, ms, lam, mu, gap) if min(gap) >= 0 else 0
+            assert A.entry(i, j) == ({gap: v} if v else {})
+
+
+def _add_one_at(monkeypatch, name, at):
+    """Make graded's ``name`` coefficient return one more at the single
+    argument tuple ``at`` = (lam, mu, k)."""
+    original = getattr(graded, name)
+
+    def mutated(rs, ms, lam, mu, k):
+        return original(rs, ms, lam, mu, k) + ((lam, mu, k) == at)
+
+    monkeypatch.setattr(graded, name, mutated)
+
+
+def test_ae_identity_names_a_wrong_entry(monkeypatch):
+    ms = ModuleSpec.adjoint(D4, 2)
+    base, gamma = _gamma(D4, 2, omega_weight(4, (2, 2)), 2)
+    below = gamma.points[1]
+    gap = below.degree  # the base sits at degree zero
+    _add_one_at(monkeypatch, "sym_coefficient", (base.weight, below.weight, gap))
+    ok, detail = verify_AE_identity(D4, ms, gamma)
+    assert not ok
+    assert detail == f"entry ({below}, {base}) = {{{gap}: 1}}"
+
+
+def test_alternating_sum_fails_on_a_wrong_ext_coefficient(monkeypatch):
+    ms = ModuleSpec.adjoint(D4, 2)
+    base, gamma = _gamma(D4, 2, omega_weight(4, (2, 2)), 2)
+    above = gamma.points[1]
+    assert c_coefficient(D4, ms, base.weight, above.weight, above.degree)
+    _add_one_at(monkeypatch, "c_coefficient", (base.weight, above.weight, above.degree))
+    ok, detail = verify_alternating_sum(D4, ms, base, gamma)
+    assert not ok
+    assert detail.startswith("first mismatch at weight")
+
+
 # -- direct and recursive characters -------------------------------------------------
 
 def test_gch_singleton():
@@ -263,6 +316,21 @@ def test_gch_N_modes_agree():
 def test_gch_N_validation():
     with pytest.raises(ValueError):
         gch_N(D4, (-1, 0, 0, 0), 1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: weyl_dim(D4, (1, 0, 0, 0, 0)),
+    lambda: freudenthal(D4, (1, 0)),
+    lambda: tensor_decompose(D4, (1, 0), (0, 1)),
+    lambda: tensor_decompose(D4, (1, 0, 0, 0, 0), (0, 1, 0, 0, 0)),
+    lambda: gch_N(D4, (0, 1), 1),
+    lambda: d_psi(D4, psi_i(D4, 2), (0, 1, 0), (0, 1, 0, 0)),
+    lambda: d_psi(D4, psi_i(D4, 2), (0, 1, 0, 0), (0, 1, 0, 0, 0)),
+], ids=["weyl_dim", "freudenthal", "tensor-short", "tensor-long", "gch_N",
+        "d_psi-lam", "d_psi-mu"])
+def test_weights_of_the_wrong_length_are_refused(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_gch_P_recursive_rejects_an_unknown_mode():
