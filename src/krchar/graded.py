@@ -16,6 +16,7 @@ from .poset import (
     LambdaPoint,
     MultiDegree,
     PsiSet,
+    _require_lengths,
     deg,
     gamma_psi,
     psi_lambda,
@@ -29,7 +30,7 @@ from .repchar import (
     freudenthal,
     sym_coefficient,
 )
-from .rootsys import RootSystem, Weight, add_weights, sub_weights
+from .rootsys import RootSystem, Weight, _require_rank, add_weights, sub_weights
 
 Entry = tuple[Weight, MultiDegree]
 
@@ -88,6 +89,7 @@ def ext_dim(rs: RootSystem, ms: ModuleSpec, a: LambdaPoint, b: LambdaPoint,
             j: int) -> int:
     """dim Ext^j between the simples at a and b; nonzero only in the single
     cohomological degree matching the multidegree gap."""
+    _require_lengths(rs, ms.ell, a, b)
     for w in (a.weight, b.weight):
         if not rs.is_dominant(w):
             raise ValueError(f"ext_dim requires dominant weights, got {tuple(w)}")
@@ -290,7 +292,7 @@ def verify_alternating_sum(rs: RootSystem, ms: ModuleSpec, base: LambdaPoint,
 def multiplicity_ell_profile(rs: RootSystem, lam, mu, ell_max: int) -> list[int]:
     """Total multiplicity of V(mu) inside the generalized KR module of
     highest weight lam, for each number of grading variables 1..ell_max."""
-    mu = tuple(mu)
+    mu = _require_rank(rs, mu)
     profile = []
     for ell in range(1, ell_max + 1):
         g = gch_N(rs, lam, ell)

@@ -16,6 +16,7 @@ from .repchar import (
 from .rootsys import (
     RootSystem,
     Weight,
+    _require_rank,
     integral_root_coords,
     omega_weight,
     sub_weights,
@@ -154,9 +155,7 @@ def _psi_root_coords(rs: RootSystem, psi: PsiSet) -> tuple[tuple[int, ...], ...]
 def d_psi(rs: RootSystem, psi: PsiSet, lam, mu) -> int | None:
     """Minimal number of psi elements (with repetition) summing to mu - lam;
     None when no such expression exists."""
-    lam, mu = tuple(lam), tuple(mu)
-    if len(lam) != rs.rank or len(mu) != rs.rank:
-        raise ValueError(f"d_psi requires weights of length {rs.rank}, got {lam} and {mu}")
+    lam, mu = _require_rank(rs, lam), _require_rank(rs, mu)
     diff = sub_weights(mu, lam)
     target = integral_root_coords(rs, diff)
     if target is None or any(c > 0 for c in target):
@@ -195,9 +194,17 @@ def d_psi(rs: RootSystem, psi: PsiSet, lam, mu) -> int | None:
 
 # -- order relations --------------------------------------------------------------
 
+def _require_lengths(rs: RootSystem, ell: int, *points: LambdaPoint) -> None:
+    for p in points:
+        _require_rank(rs, p.weight)
+        if len(p.degree) != ell:
+            raise ValueError(f"degree {p.degree} does not have length ell={ell}")
+
+
 def covers(rs: RootSystem, ms: ModuleSpec, a: LambdaPoint, b: LambdaPoint) -> bool:
     """True when b sits one graded layer above a: the degrees differ by some
     e_j and the weight difference is a weight of the j-th layer."""
+    _require_lengths(rs, ms.ell, a, b)
     diff = sub_weights(b.degree, a.degree)
     if any(c < 0 for c in diff) or not any(diff):
         return False
@@ -209,6 +216,7 @@ def covers(rs: RootSystem, ms: ModuleSpec, a: LambdaPoint, b: LambdaPoint) -> bo
 
 
 def leq_psi(rs: RootSystem, psi: PsiSet, a: LambdaPoint, b: LambdaPoint) -> bool:
+    _require_lengths(rs, len(a.degree), a, b)
     ddeg = sub_weights(b.degree, a.degree)
     if any(c < 0 for c in ddeg):
         return False
@@ -261,11 +269,10 @@ def gamma_psi(rs: RootSystem, psi: PsiSet, base: LambdaPoint, ell: int) -> Gamma
     total degree.  psi goes through :func:`checked_psi` first.
     """
     psi = checked_psi(rs, psi)
+    _require_lengths(rs, ell, base)
     lam = tuple(base.weight)
     if not rs.is_dominant(lam):
         raise ValueError(f"base weight {lam} is not dominant")
-    if len(base.degree) != ell:
-        raise ValueError(f"base degree {base.degree} does not have length ell={ell}")
     base = LambdaPoint(lam, tuple(base.degree))
     keyed = []
     d_of: dict[Weight, int] = {}

@@ -2,12 +2,11 @@
 
 Weight multiplicities come from the Freudenthal recursion and exterior/
 symmetric powers from a generating-function DP over the weight multiset.
-One Racah-Speiser reflection pass decomposes both tensor products of two
-simples and the graded Hom coefficients (a power product tensored with a
-simple); ``iso_decompose`` peels characters into simples only as an
-independent oracle for that pass.  All intermediate characters may be
-virtual (signed); genuineness is asserted only where a result promises an
-actual module.
+One Racah-Speiser kernel computes every tensor product: two simples, and the
+graded Hom coefficients, folded one power factor at a time into V(lam).  The
+convolution of two WeightChars and ``iso_decompose`` are kept only as its
+independent oracles.  All intermediate characters may be virtual (signed);
+genuineness is asserted only where a result promises an actual module.
 """
 
 from __future__ import annotations
@@ -126,14 +125,11 @@ class WeightChar(SparseChar):
     """Finite integer combination of weights (a virtual g-character).
 
     ``*`` is the convolution product (character of a tensor product) for
-    another WeightChar and plain scaling for an integer.
+    another WeightChar, which only the oracles use, and plain scaling for an
+    integer.
     """
 
     __slots__ = ()
-
-    @classmethod
-    def trivial(cls, rank: int) -> "WeightChar":
-        return cls({(0,) * rank: 1})
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -334,27 +330,25 @@ def set_active_tensor_cache(cache: TensorCache) -> TensorCache:
     return previous
 
 
-def _racah_speiser(rs: RootSystem, ch: WeightChar, lam: Weight) -> dict[Weight, int]:
-    """Simple multiplicities of M (x) V(lam), where M is the genuine module
-    with Weyl-invariant character ch (Brauer-Klimyk / Racah-Speiser).
+def _racah_speiser(rs: RootSystem, ch: WeightChar, start: Mapping) -> dict[Weight, int]:
+    """Simple multiplicities of M (x) N for the genuine module M with Weyl-
+    invariant character ch and N = sum of k V(lam) over start = {lam: k}.
 
-    Each weight w of ch contributes its multiplicity to V(mu), where mu + rho
-    is the dominant conjugate of lam + w + rho, with the sign of the
+    Each weight w of ch contributes k times its multiplicity to V(mu), where
+    mu + rho is the dominant conjugate of lam + w + rho, with the sign of the
     reflections taken; shifted weights on a chamber wall contribute nothing.
     """
     out: dict[Weight, int] = {}
-    for w, m in ch.entries.items():
-        target = tuple(b + x + 1 for b, x in zip(lam, w))
-        dom, parity = _descend(rs, target)
-        if 0 in dom:
-            continue
-        mu = tuple(c - 1 for c in dom)
-        v = out.get(mu, 0) + parity * m
-        if v:
-            out[mu] = v
-        else:
-            del out[mu]
-    if any(m < 0 for m in out.values()):
+    for lam, k in start.items():
+        for w, m in ch.entries.items():
+            target = tuple(b + x + 1 for b, x in zip(lam, w))
+            dom, parity = _descend(rs, target)
+            if 0 in dom:
+                continue
+            mu = tuple(c - 1 for c in dom)
+            out[mu] = out.get(mu, 0) + parity * m * k
+    out = {mu: v for mu, v in out.items() if v}
+    if any(v < 0 for v in out.values()):
         raise AssertionError("negative multiplicity from Racah-Speiser")
     return out
 
@@ -377,7 +371,7 @@ def tensor_decompose(rs: RootSystem, lam, nu) -> IsoChar:
         small, big = lam, nu
     else:
         small, big = nu, lam
-    out = _racah_speiser(rs, freudenthal(rs, small), big)
+    out = _racah_speiser(rs, freudenthal(rs, small), {big: 1})
     cache.count_compute()
     cache.put(key, out)
     return IsoChar(out)
@@ -477,7 +471,6 @@ def iso_decompose(rs: RootSystem, ch: WeightChar) -> IsoChar:
 # -- graded Hom-space coefficients ----------------------------------------------
 
 _component_char_cache = register_cache(BoundedCache())
-# Holds power-product weight characters; perfbench/tracer.py reports it by its old name.
 _power_iso_cache = register_cache(BoundedCache())
 _coeff_cache = register_cache(BoundedCache())
 
@@ -504,28 +497,29 @@ def _hom_coefficient(rs: RootSystem, ms: ModuleSpec, lam, mu, k, kind: str) -> i
     if not rs.is_dominant(lam) or not rs.is_dominant(mu):
         raise ValueError("coefficients require dominant weights")
     factors = tuple(sorted((ms.components[i], ki) for i, ki in enumerate(k) if ki))
-    product_key = (rs.lie_type, kind, factors)
-    mults = _coeff_cache.get(product_key + (lam,))
+    key = (rs.lie_type, kind, factors, lam)
+    mults = _coeff_cache.get(key)
     if mults is None:
-        ch = _power_iso_cache.get(product_key)
-        if ch is None:
-            ch = WeightChar.trivial(rs.rank)
-            for comp, ki in factors:
-                base = component_char(rs, ModuleSpec((comp,)), 0)
-                ch = ch * _power_char(base, ki, kind)
-            _power_iso_cache.put(product_key, ch)
-        mults = _racah_speiser(rs, ch, lam)
-        _coeff_cache.put(product_key + (lam,), mults)
+        mults = {lam: 1}
+        for comp, ki in factors:
+            power = _power_iso_cache.get((rs.lie_type, kind, comp, ki))
+            if power is None:
+                power = _power_char(component_char(rs, ModuleSpec((comp,)), 0), ki, kind)
+                _power_iso_cache.put((rs.lie_type, kind, comp, ki), power)
+            mults = _racah_speiser(rs, power, mults)
+        _coeff_cache.put(key, mults)
     return mults.get(mu, 0)
 
 
 def c_coefficient(rs: RootSystem, ms: ModuleSpec, lam, mu, k) -> int:
-    """Multiplicity of V(mu) in (wedge^{k_1} V_1 (x) ... (x) wedge^{k_ell} V_ell) (x) V(lam)."""
+    """Multiplicity of V(mu) in (wedge^{k_1} V_1 (x) ... (x) wedge^{k_ell} V_ell) (x) V(lam),
+    folded one power at a time into V(lam): the product is never built."""
     return _hom_coefficient(rs, ms, lam, mu, k, "ext")
 
 
 def sym_coefficient(rs: RootSystem, ms: ModuleSpec, lam, mu, k) -> int:
-    """Multiplicity of V(mu) in (Sym^{k_1} V_1 (x) ... (x) Sym^{k_ell} V_ell) (x) V(lam)."""
+    """Multiplicity of V(mu) in (Sym^{k_1} V_1 (x) ... (x) Sym^{k_ell} V_ell) (x) V(lam),
+    folded one power at a time into V(lam): the product is never built."""
     return _hom_coefficient(rs, ms, lam, mu, k, "sym")
 
 

@@ -278,18 +278,27 @@ def _descend(rs: RootSystem, xi) -> tuple[Weight, int]:
     return tuple(coords), parity
 
 
+def _require_rank(rs: RootSystem, xi) -> Weight:
+    """xi as a tuple; ValueError unless it has one coordinate per node."""
+    xi = tuple(xi)
+    if len(xi) != rs.rank:
+        raise ValueError(f"weight {xi} does not have length {rs.rank}")
+    return xi
+
+
 def dominant_conjugate(rs: RootSystem, xi) -> tuple[Weight, int, bool]:
     """Unique dominant Weyl conjugate of xi with reflection parity.
 
     The third component is True when xi lies on a chamber wall (its orbit
     meets a coordinate hyperplane); the parity is meaningless in that case.
     """
-    dom, parity = _descend(rs, xi)
+    dom, parity = _descend(rs, _require_rank(rs, xi))
     return dom, parity, 0 in dom
 
 
 def root_coords(rs: RootSystem, xi) -> tuple[Fraction, ...]:
     """Coordinates of xi on the simple roots (exact rational solve)."""
+    xi = _require_rank(rs, xi)
     inv = rs._inv_cartan_t
     n = rs.rank
     return tuple(sum(inv[i][j] * xi[j] for j in range(n)) for i in range(n))

@@ -1,6 +1,6 @@
 """Persistent multiplicity-cache tests: round trips, corruption handling, the
 warm-cache guarantee that no tensor decomposition is recomputed, and graded
-characters that never reach the store."""
+characters that never reach the store, iso_decompose or a character product."""
 
 import os
 
@@ -161,7 +161,19 @@ def test_graded_characters_bypass_iso_decompose_and_the_store(monkeypatch, fresh
     def refuse(*args, **kwargs):
         raise AssertionError("iso_decompose reached from a production path")
 
+    convolve = repchar.WeightChar.__mul__
+
+    def scale_only(self, other):
+        # Integer scaling stays; the convolution of two characters is the
+        # oracle's alone.
+        if isinstance(other, repchar.WeightChar):
+            raise AssertionError("two characters multiplied on a production path")
+        return convolve(self, other)
+
     monkeypatch.setattr(repchar, "iso_decompose", refuse)
+    monkeypatch.setattr(repchar.WeightChar, "__mul__", scale_only)
+    monkeypatch.setattr(repchar.WeightChar, "__rmul__", scale_only)
+    assert (repchar.freudenthal(build_root_system("A1"), (1,)) * 2).dimension() == 4
     rs = build_root_system("D5")
     lam = omega_weight(5, (3, 2))
     g = gch_N(rs, lam, 3)

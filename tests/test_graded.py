@@ -20,9 +20,11 @@ from krchar import graded
 from krchar.poset import (
     LambdaPoint,
     compositions,
+    covers,
     d_psi,
     gamma_psi,
     i_lambda,
+    leq_psi,
     psi_i,
 )
 from krchar.repchar import (
@@ -33,7 +35,14 @@ from krchar.repchar import (
     sym_coefficient,
     tensor_decompose,
 )
-from krchar.rootsys import build_root_system, omega_weight, weyl_dim
+from krchar.rootsys import (
+    build_root_system,
+    dominant_conjugate,
+    integral_root_coords,
+    omega_weight,
+    root_coords,
+    weyl_dim,
+)
 
 A1 = build_root_system("A1")
 D4 = build_root_system("D4")
@@ -326,8 +335,21 @@ def test_gch_N_validation():
     lambda: gch_N(D4, (0, 1), 1),
     lambda: d_psi(D4, psi_i(D4, 2), (0, 1, 0), (0, 1, 0, 0)),
     lambda: d_psi(D4, psi_i(D4, 2), (0, 1, 0, 0), (0, 1, 0, 0, 0)),
+    lambda: covers(D4, ModuleSpec.adjoint(D4, 1), LambdaPoint((0, 1, 0, 0), (0,)),
+                   LambdaPoint((0, 1, 0, 0, 0), (1,))),
+    lambda: leq_psi(D4, psi_i(D4, 2), LambdaPoint((0, 1, 0, 0), (0, 0)),
+                    LambdaPoint((0, 1, 0, 0), (1,))),
+    lambda: dominant_conjugate(D4, (1, 0)),
+    lambda: dominant_conjugate(D4, (1, 0, 0, 0, -1)),
+    lambda: root_coords(D4, (1, 0, 0, 0, 7)),
+    lambda: integral_root_coords(D4, (1, 0, 0, 0, 7)),
+    lambda: ext_dim(D4, ModuleSpec.adjoint(D4, 1), LambdaPoint((0, 1, 0, 0), (0, 0)),
+                    LambdaPoint((0, 0, 0, 0), (1,)), 1),
+    lambda: multiplicity_ell_profile(D4, (0, 2, 0, 0), (0, 0, 0, 0, 0), 2),
 ], ids=["weyl_dim", "freudenthal", "tensor-short", "tensor-long", "gch_N",
-        "d_psi-lam", "d_psi-mu"])
+        "d_psi-lam", "d_psi-mu", "covers", "leq_psi", "dominant_conjugate-short",
+        "dominant_conjugate-long", "root_coords", "integral_root_coords", "ext_dim",
+        "multiplicity_ell_profile"])
 def test_weights_of_the_wrong_length_are_refused(call):
     with pytest.raises(ValueError):
         call()

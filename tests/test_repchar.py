@@ -314,6 +314,21 @@ def test_coefficients_with_unequal_components():
     for mu, m in prod.entries.items():
         assert c_coefficient(D4, ms, zero, mu, (1, 1)) == m
         assert sym_coefficient(D4, ms, zero, mu, (1, 1)) == m
+    # Powers of both layers at once fold two distinct factors into V(lam);
+    # the oracle convolves the two powers, peels the product and tensors
+    # each simple with V(lam).
+    for coefficient, power in ((c_coefficient, ext_power), (sym_coefficient, sym_power)):
+        for k in [(2, 1), (1, 2)]:
+            product = power(freudenthal(D4, vec), k[0]) * power(freudenthal(D4, theta), k[1])
+            for lam in (zero, theta):
+                oracle = IsoChar()
+                for nu, m in iso_decompose(D4, product).entries.items():
+                    oracle = oracle + tensor_decompose(D4, nu, lam) * m
+                top = tuple(a + k[0] * b + k[1] * c for a, b, c in zip(lam, vec, theta))
+                assert oracle and set(oracle.entries) <= set(dominant_multiplicities(D4, top))
+                for mu in dominant_multiplicities(D4, top):
+                    assert coefficient(D4, ms, lam, mu, k) == oracle[mu], \
+                        (coefficient.__name__, k, lam, mu)
 
 
 def test_coefficients_match_the_iso_decompose_route_on_the_acceptance_matrix():
@@ -335,7 +350,7 @@ def test_coefficients_match_the_iso_decompose_route_on_the_acceptance_matrix():
                                            (c_coefficient, ext_power)):
                     product_key = (rs.lie_type, power, tuple(sorted(x for x in k if x)))
                     if product_key not in peeled:
-                        ch = WeightChar.trivial(rs.rank)
+                        ch = WeightChar({(0,) * rs.rank: 1})
                         for j, kj in enumerate(k):
                             if kj:
                                 ch = ch * power(component_char(rs, ms, j), kj)
