@@ -11,7 +11,6 @@ from .repchar import (
     register_cache,
     ModuleSpec,
     component_char,
-    dominant_multiplicities,
 )
 from .rootsys import (
     RootSystem,
@@ -260,11 +259,28 @@ class GammaSet:
         return f"GammaSet(base={self.base}, size={len(self.points)})"
 
 
+def _dominant_weights_below(rs: RootSystem, lam: Weight) -> set[Weight]:
+    """The dominant weights of V(lam), reached from lam by steps that subtract
+    a positive root and stay dominant (Stembridge, "The partial order of
+    dominant weights", 1998); no weight system is built."""
+    found = {lam}
+    todo = [lam]
+    while todo:
+        mu = todo.pop()
+        for root in rs.positive_roots:
+            nu = sub_weights(mu, root.weight)
+            if nu not in found and rs.is_dominant(nu):
+                found.add(nu)
+                todo.append(nu)
+    return found
+
+
 def gamma_psi(rs: RootSystem, psi: PsiSet, base: LambdaPoint, ell: int) -> GammaSet:
     """Enumerate every point reachable from ``base`` in the refined order.
 
     Candidate weights are the dominant weights under base.weight in the root
-    order, kept when the psi-distance is defined; the multidegrees of a kept
+    order, found by a walk down positive roots from base.weight; a candidate
+    is kept when the psi-distance is defined.  The multidegrees of a kept
     weight are all shifts of the base degree by a vector of the matching
     total degree.  psi goes through :func:`checked_psi` first.
     """
@@ -276,7 +292,7 @@ def gamma_psi(rs: RootSystem, psi: PsiSet, base: LambdaPoint, ell: int) -> Gamma
     base = LambdaPoint(lam, tuple(base.degree))
     keyed = []
     d_of: dict[Weight, int] = {}
-    for mu in dominant_multiplicities(rs, lam):
+    for mu in _dominant_weights_below(rs, lam):
         d = d_psi(rs, psi, lam, mu)
         if d is None:
             continue

@@ -1,10 +1,10 @@
 """Exact character arithmetic for the classical simple Lie algebras.
 
-Weight multiplicities come from the Freudenthal recursion and exterior/
-symmetric powers from a generating-function DP over the weight multiset.
-One Racah-Speiser kernel computes every tensor product: two simples, and the
-graded Hom coefficients, folded one power factor at a time into V(lam).  The
-convolution of two WeightChars and ``iso_decompose`` are kept only as its
+Weight multiplicities come from the Freudenthal recursion.  One signed
+Racah-Speiser kernel computes every tensor product: two simples, and the
+graded Hom coefficients, folded one power factor at a time into V(lam) by
+Newton's identity on Adams operations, so no power is ever built.  The power
+DP, the convolution of two WeightChars and ``iso_decompose`` are kept only as
 independent oracles.  All intermediate characters may be virtual (signed);
 genuineness is asserted only where a result promises an actual module.
 """
@@ -331,8 +331,8 @@ def set_active_tensor_cache(cache: TensorCache) -> TensorCache:
 
 
 def _racah_speiser(rs: RootSystem, ch: WeightChar, start: Mapping) -> dict[Weight, int]:
-    """Simple multiplicities of M (x) N for the genuine module M with Weyl-
-    invariant character ch and N = sum of k V(lam) over start = {lam: k}.
+    """Signed simple multiplicities of M (x) N for the virtual module M with
+    Weyl-invariant character ch and N = sum of k V(lam) over start = {lam: k}.
 
     Each weight w of ch contributes k times its multiplicity to V(mu), where
     mu + rho is the dominant conjugate of lam + w + rho, with the sign of the
@@ -347,10 +347,7 @@ def _racah_speiser(rs: RootSystem, ch: WeightChar, start: Mapping) -> dict[Weigh
                 continue
             mu = tuple(c - 1 for c in dom)
             out[mu] = out.get(mu, 0) + parity * m * k
-    out = {mu: v for mu, v in out.items() if v}
-    if any(v < 0 for v in out.values()):
-        raise AssertionError("negative multiplicity from Racah-Speiser")
-    return out
+    return {mu: v for mu, v in out.items() if v}
 
 
 def tensor_decompose(rs: RootSystem, lam, nu) -> IsoChar:
@@ -372,6 +369,8 @@ def tensor_decompose(rs: RootSystem, lam, nu) -> IsoChar:
     else:
         small, big = nu, lam
     out = _racah_speiser(rs, freudenthal(rs, small), {big: 1})
+    if any(v < 0 for v in out.values()):
+        raise AssertionError("negative multiplicity from Racah-Speiser")
     cache.count_compute()
     cache.put(key, out)
     return IsoChar(out)
@@ -488,6 +487,40 @@ def component_char(rs: RootSystem, ms: ModuleSpec, j: int) -> WeightChar:
     return hit
 
 
+def _power_fold(rs: RootSystem, kind: str, comp: tuple[Weight, ...], d: int,
+                nu: Weight) -> Mapping[Weight, int]:
+    """Simple multiplicities F_d of P^d(V) (x) V(nu), P = Sym or wedge, V the
+    layer comp; treat the result as immutable.  Newton's identity
+    d F_d = sum_{j=1..d} eps_j psi^j(V) (x) F_{d-j}, eps_j = 1 for Sym and
+    (-1)^(j-1) for wedge, runs each term as one signed Racah-Speiser pass of
+    the Adams operation psi^j(V) = sum m_w e^{jw}; no power of V is built.
+    """
+    if d == 0:
+        return {nu: 1}
+    key = (rs.lie_type, kind, comp, d, nu)
+    out = _power_iso_cache.get(key)
+    if out is not None:
+        return out
+    layer = component_char(rs, ModuleSpec((comp,)), 0).entries
+    total: dict[Weight, int] = {}
+    for j in range(1, d + 1):
+        sign = -1 if kind == "ext" and j % 2 == 0 else 1
+        adams = WeightChar({tuple(j * c for c in w): m for w, m in layer.items()})
+        for mu, v in _racah_speiser(rs, adams, _power_fold(rs, kind, comp, d - j, nu)).items():
+            total[mu] = total.get(mu, 0) + sign * v
+    out = {}
+    for mu, v in total.items():
+        q, r = divmod(v, d)
+        if r:
+            raise AssertionError(f"Newton sum for {kind}^{d} at {mu} is not divisible by {d}")
+        if q:
+            out[mu] = q
+    if any(v < 0 for v in out.values()):
+        raise AssertionError(f"negative multiplicity in the {kind}^{d} power fold")
+    _power_iso_cache.put(key, out)
+    return out
+
+
 def _hom_coefficient(rs: RootSystem, ms: ModuleSpec, lam, mu, k, kind: str) -> int:
     lam, mu, k = tuple(lam), tuple(mu), tuple(int(x) for x in k)
     if len(k) != ms.ell:
@@ -502,11 +535,11 @@ def _hom_coefficient(rs: RootSystem, ms: ModuleSpec, lam, mu, k, kind: str) -> i
     if mults is None:
         mults = {lam: 1}
         for comp, ki in factors:
-            power = _power_iso_cache.get((rs.lie_type, kind, comp, ki))
-            if power is None:
-                power = _power_char(component_char(rs, ModuleSpec((comp,)), 0), ki, kind)
-                _power_iso_cache.put((rs.lie_type, kind, comp, ki), power)
-            mults = _racah_speiser(rs, power, mults)
+            folded: dict[Weight, int] = {}
+            for nu, m in mults.items():
+                for x, v in _power_fold(rs, kind, comp, ki, nu).items():
+                    folded[x] = folded.get(x, 0) + m * v
+            mults = folded
         _coeff_cache.put(key, mults)
     return mults.get(mu, 0)
 

@@ -22,7 +22,7 @@ from krchar.cli import (
 )
 from krchar.graded import gch_N
 from krchar.poset import LambdaPoint, checked_psi, gamma_psi, i_lambda, psi_i
-from krchar.repchar import tensor_decompose
+from krchar.repchar import clear_memo_caches, tensor_decompose
 from krchar.rootsys import build_root_system, omega_weight
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -75,6 +75,45 @@ def test_internal_error_exit_code(monkeypatch, capsys):
     assert main(["tensor", "--algebra", "A1", "--weight", "1", "--weight", "1"]) == 3
     err = capsys.readouterr().err
     assert err == "internal error: negative multiplicity from Racah-Speiser\n"
+
+
+@pytest.fixture
+def fresh_memo():
+    # Faults injected into the power fold only show on entries not memoised yet.
+    clear_memo_caches()
+    yield
+    clear_memo_caches()
+
+
+def test_power_fold_genuineness_check_exits_3(monkeypatch, capsys, fresh_memo):
+    import krchar.repchar as repchar
+
+    kernel = repchar._racah_speiser
+
+    def wrong_sign(rs, ch, start):
+        # eps_1 = -1: F_1 comes out as minus V (x) V(lam), exactly divisible.
+        return {mu: -v for mu, v in kernel(rs, ch, start).items()}
+
+    monkeypatch.setattr(repchar, "_racah_speiser", wrong_sign)
+    assert main(["gch", "--algebra", "D4", "--weight", "0,2,0,0", "--ell", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: negative multiplicity in the ") and "power fold" in err
+
+
+def test_power_fold_division_check_exits_3(monkeypatch, capsys, fresh_memo):
+    import krchar.repchar as repchar
+
+    fold = repchar._power_fold
+
+    def extra_copy(rs, kind, comp, d, nu):
+        # One stray V(nu) in F_1 makes 2 F_2 odd wherever V (x) V(nu) is.
+        out = fold(rs, kind, comp, d, nu)
+        return {**out, nu: out.get(nu, 0) + 1} if d == 1 else out
+
+    monkeypatch.setattr(repchar, "_power_fold", extra_copy)
+    assert main(["gch", "--algebra", "D4", "--weight", "0,2,0,0", "--ell", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: Newton sum for ") and "is not divisible by 2" in err
 
 
 def test_non_dominant_weight_rejected(capsys):

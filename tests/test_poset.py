@@ -12,6 +12,7 @@ import pytest
 from krchar.poset import (
     GammaSet,
     LambdaPoint,
+    _dominant_weights_below,
     check_polytope_condition,
     check_psi_extra,
     checked_psi,
@@ -27,8 +28,8 @@ from krchar.poset import (
     psi_of_mu,
 )
 from krchar.ratlp import exposes
-from krchar.repchar import ModuleSpec, adjoint_char
-from krchar.rootsys import build_root_system, omega_weight
+from krchar.repchar import ModuleSpec, adjoint_char, dominant_multiplicities
+from krchar.rootsys import build_root_system, omega_weight, weyl_dim
 
 A1 = build_root_system("A1")
 A2 = build_root_system("A2")
@@ -317,9 +318,8 @@ def test_gamma_base_check_survives_python_O():
 import krchar.poset as poset
 from krchar.rootsys import build_root_system
 rs = build_root_system("D4")
-full = poset.dominant_multiplicities
-poset.dominant_multiplicities = lambda rs, lam: {
-    mu: m for mu, m in full(rs, lam).items() if mu != tuple(lam)}
+full = poset._dominant_weights_below
+poset._dominant_weights_below = lambda rs, lam: full(rs, lam) - {lam}
 try:
     poset.gamma_psi(rs, poset.psi_i(rs, 2), poset.LambdaPoint((0, 2, 0, 0), (0,)), 1)
 except AssertionError as exc:
@@ -330,6 +330,26 @@ else:
     out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
                          text=True, check=True, env={**os.environ, "PYTHONPATH": SRC})
     assert out.stdout.startswith("AssertionError: gamma set above"), out.stdout
+
+
+@pytest.mark.parametrize("label", [x for x in CLASSICAL_RANK_8 if int(x[1:]) <= 6])
+def test_dominant_weight_walk_matches_freudenthal(label):
+    # The walk down positive roots against the dominant keys of the full
+    # Freudenthal weight system, on seeded weights with up to two nonzero
+    # coordinates of size 1 or 2.  Weights of dimension above 20,000 are
+    # drawn again: Freudenthal on them takes seconds, the walk does not.
+    rs = build_root_system(label)
+    rng = random.Random(f"walk {label}")
+    checked = 0
+    while checked < 3:
+        lam = [0] * rs.rank
+        for node in rng.sample(range(rs.rank), min(2, rs.rank)):
+            lam[node] += rng.randint(1, 2)
+        lam = tuple(lam)
+        if weyl_dim(rs, lam) > 20_000:
+            continue
+        assert _dominant_weights_below(rs, lam) == set(dominant_multiplicities(rs, lam)), lam
+        checked += 1
 
 
 def test_gamma_empty_psi_is_singleton():

@@ -1,6 +1,7 @@
 """Character arithmetic tests: Freudenthal, Racah-Speiser, powers, coefficients."""
 
 import math
+import random
 from itertools import product
 
 import pytest
@@ -10,6 +11,9 @@ from krchar.repchar import (
     ModuleSpec,
     TensorCache,
     WeightChar,
+    _power_char,
+    _power_fold,
+    _racah_speiser,
     active_tensor_cache,
     adjoint_char,
     c_coefficient,
@@ -364,6 +368,52 @@ def test_coefficients_match_the_iso_decompose_route_on_the_acceptance_matrix():
                         (rs.lie_type, lam, mu, k, coefficient.__name__)
                     checked += 1
     assert checked > 2000
+
+
+NEWTON_LABELS = ("A3", "B3", "C3", "B4", "C4", "D5")
+
+
+def _seeded_dominant(rs, rng):
+    return tuple(rng.randint(0, 1) for _ in range(rs.rank))
+
+
+@pytest.mark.parametrize("label", NEWTON_LABELS)
+def test_power_fold_matches_the_power_dp(label):
+    # F_d(nu) from Newton's recurrence on Adams operations against one
+    # Racah-Speiser pass of the DP-built power character, for the adjoint
+    # layer and for the vector (+) adjoint layer.
+    rs = build_root_system(label)
+    rng = random.Random(f"power fold {label}")
+    vec, theta = omega_weight(rs.rank, (1, 1)), rs.highest_root.weight
+    for comp in ((theta,), (vec, theta)):
+        ch = component_char(rs, ModuleSpec((comp,)), 0)
+        for nu in ((0,) * rs.rank, _seeded_dominant(rs, rng)):
+            for kind in ("sym", "ext"):
+                for d in range(5):
+                    oracle = _racah_speiser(rs, _power_char(ch, d, kind), {nu: 1})
+                    assert _power_fold(rs, kind, comp, d, nu) == oracle, (comp, nu, kind, d)
+
+
+@pytest.mark.parametrize("label", NEWTON_LABELS)
+def test_wedge_power_fold_at_and_beyond_the_top_degree(label):
+    # wedge^dim V is the trivial module and wedge^(dim V + 1) is zero; the
+    # recurrence reaches both only through exact cancellation.  The vector
+    # layer on every type; the adjoint on rank 3, where dim V is at most 21
+    # (on rank 4 its 36 degrees take half a minute).
+    rs = build_root_system(label)
+    rng = random.Random(f"wedge edges {label}")
+    layers = [omega_weight(rs.rank, (1, 1))]
+    if rs.rank == 3:
+        layers.append(rs.highest_root.weight)
+    for highest in layers:
+        comp = (highest,)
+        ms = ModuleSpec((comp,))
+        top = weyl_dim(rs, highest)
+        for lam in ((0,) * rs.rank, _seeded_dominant(rs, rng)):
+            assert c_coefficient(rs, ms, lam, lam, (top,)) == 1
+            assert _power_fold(rs, "ext", comp, top, lam) == {lam: 1}
+            assert _power_fold(rs, "ext", comp, top + 1, lam) == {}
+            assert c_coefficient(rs, ms, lam, lam, (top + 1,)) == 0
 
 
 def test_module_spec_adjoint():
