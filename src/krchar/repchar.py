@@ -2,7 +2,7 @@
 
 Weight multiplicities come from the Freudenthal recursion.  One signed
 Racah-Speiser kernel computes every tensor product: two simples, and the
-graded Hom coefficients, folded one power factor at a time into V(lam) by
+graded Hom coefficients, which one memoised recursion folds into V(lam) by
 Newton's identity on Adams operations, so no power is ever built.  The power
 DP, the convolution of two WeightChars and ``iso_decompose`` are kept only as
 independent oracles.  All intermediate characters may be virtual (signed);
@@ -470,6 +470,7 @@ def iso_decompose(rs: RootSystem, ch: WeightChar) -> IsoChar:
 # -- graded Hom-space coefficients ----------------------------------------------
 
 _component_char_cache = register_cache(BoundedCache())
+# Unused by the library; kept only because perfbench/tracer.py resolves memo.power_iso.
 _power_iso_cache = register_cache(BoundedCache())
 _coeff_cache = register_cache(BoundedCache())
 
@@ -487,26 +488,29 @@ def component_char(rs: RootSystem, ms: ModuleSpec, j: int) -> WeightChar:
     return hit
 
 
-def _power_fold(rs: RootSystem, kind: str, comp: tuple[Weight, ...], d: int,
-                nu: Weight) -> Mapping[Weight, int]:
-    """Simple multiplicities F_d of P^d(V) (x) V(nu), P = Sym or wedge, V the
-    layer comp; treat the result as immutable.  Newton's identity
-    d F_d = sum_{j=1..d} eps_j psi^j(V) (x) F_{d-j}, eps_j = 1 for Sym and
-    (-1)^(j-1) for wedge, runs each term as one signed Racah-Speiser pass of
-    the Adams operation psi^j(V) = sum m_w e^{jw}; no power of V is built.
+def _fold(rs: RootSystem, kind: str, factors: tuple, lam: Weight) -> Mapping[Weight, int]:
+    """Simple multiplicities of P^{d_1}(V_1) (x) ... (x) P^{d_r}(V_r) (x) V(lam)
+    for the sorted factors ((V_i, d_i), ...), P = Sym or wedge; treat the
+    result as immutable.  With (V, d) the last factor, Newton's identity
+    d F = sum_{j=1..d} eps_j psi^j(V) (x) F(rest, (V, d-j)), eps_j = 1 for Sym
+    and (-1)^(j-1) for wedge, runs each term as one signed Racah-Speiser pass
+    of the Adams operation psi^j(V) = sum m_w e^{jw} over the whole previous
+    fold; no power of V is built.
     """
-    if d == 0:
-        return {nu: 1}
-    key = (rs.lie_type, kind, comp, d, nu)
-    out = _power_iso_cache.get(key)
+    if not factors:
+        return {lam: 1}
+    key = (rs.lie_type, kind, factors, lam)
+    out = _coeff_cache.get(key)
     if out is not None:
         return out
+    *rest, (comp, d) = factors
     layer = component_char(rs, ModuleSpec((comp,)), 0).entries
     total: dict[Weight, int] = {}
     for j in range(1, d + 1):
         sign = -1 if kind == "ext" and j % 2 == 0 else 1
         adams = WeightChar({tuple(j * c for c in w): m for w, m in layer.items()})
-        for mu, v in _racah_speiser(rs, adams, _power_fold(rs, kind, comp, d - j, nu)).items():
+        lower = tuple(sorted(rest + [(comp, d - j)] if j < d else rest))
+        for mu, v in _racah_speiser(rs, adams, _fold(rs, kind, lower, lam)).items():
             total[mu] = total.get(mu, 0) + sign * v
     out = {}
     for mu, v in total.items():
@@ -517,7 +521,7 @@ def _power_fold(rs: RootSystem, kind: str, comp: tuple[Weight, ...], d: int,
             out[mu] = q
     if any(v < 0 for v in out.values()):
         raise AssertionError(f"negative multiplicity in the {kind}^{d} power fold")
-    _power_iso_cache.put(key, out)
+    _coeff_cache.put(key, out)
     return out
 
 
@@ -530,29 +534,18 @@ def _hom_coefficient(rs: RootSystem, ms: ModuleSpec, lam, mu, k, kind: str) -> i
     if not rs.is_dominant(lam) or not rs.is_dominant(mu):
         raise ValueError("coefficients require dominant weights")
     factors = tuple(sorted((ms.components[i], ki) for i, ki in enumerate(k) if ki))
-    key = (rs.lie_type, kind, factors, lam)
-    mults = _coeff_cache.get(key)
-    if mults is None:
-        mults = {lam: 1}
-        for comp, ki in factors:
-            folded: dict[Weight, int] = {}
-            for nu, m in mults.items():
-                for x, v in _power_fold(rs, kind, comp, ki, nu).items():
-                    folded[x] = folded.get(x, 0) + m * v
-            mults = folded
-        _coeff_cache.put(key, mults)
-    return mults.get(mu, 0)
+    return _fold(rs, kind, factors, lam).get(mu, 0)
 
 
 def c_coefficient(rs: RootSystem, ms: ModuleSpec, lam, mu, k) -> int:
     """Multiplicity of V(mu) in (wedge^{k_1} V_1 (x) ... (x) wedge^{k_ell} V_ell) (x) V(lam),
-    folded one power at a time into V(lam): the product is never built."""
+    folded into V(lam) by Newton's identity: the product is never built."""
     return _hom_coefficient(rs, ms, lam, mu, k, "ext")
 
 
 def sym_coefficient(rs: RootSystem, ms: ModuleSpec, lam, mu, k) -> int:
     """Multiplicity of V(mu) in (Sym^{k_1} V_1 (x) ... (x) Sym^{k_ell} V_ell) (x) V(lam),
-    folded one power at a time into V(lam): the product is never built."""
+    folded into V(lam) by Newton's identity: the product is never built."""
     return _hom_coefficient(rs, ms, lam, mu, k, "sym")
 
 

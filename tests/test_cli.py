@@ -79,7 +79,7 @@ def test_internal_error_exit_code(monkeypatch, capsys):
 
 @pytest.fixture
 def fresh_memo():
-    # Faults injected into the power fold only show on entries not memoised yet.
+    # Faults injected into the Hom fold only show on entries not memoised yet.
     clear_memo_caches()
     yield
     clear_memo_caches()
@@ -103,14 +103,15 @@ def test_power_fold_genuineness_check_exits_3(monkeypatch, capsys, fresh_memo):
 def test_power_fold_division_check_exits_3(monkeypatch, capsys, fresh_memo):
     import krchar.repchar as repchar
 
-    fold = repchar._power_fold
+    fold = repchar._fold
 
-    def extra_copy(rs, kind, comp, d, nu):
-        # One stray V(nu) in F_1 makes 2 F_2 odd wherever V (x) V(nu) is.
-        out = fold(rs, kind, comp, d, nu)
-        return {**out, nu: out.get(nu, 0) + 1} if d == 1 else out
+    def extra_copy(rs, kind, factors, lam):
+        # One stray V(lam) in the d = 1 fold makes 2 F_2 odd wherever
+        # V (x) V(lam) is.
+        out = fold(rs, kind, factors, lam)
+        return {**out, lam: out.get(lam, 0) + 1} if [d for _, d in factors] == [1] else out
 
-    monkeypatch.setattr(repchar, "_power_fold", extra_copy)
+    monkeypatch.setattr(repchar, "_fold", extra_copy)
     assert main(["gch", "--algebra", "D4", "--weight", "0,2,0,0", "--ell", "1"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("internal error: Newton sum for ") and "is not divisible by 2" in err

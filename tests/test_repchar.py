@@ -12,7 +12,7 @@ from krchar.repchar import (
     TensorCache,
     WeightChar,
     _power_char,
-    _power_fold,
+    _fold,
     _racah_speiser,
     active_tensor_cache,
     adjoint_char,
@@ -379,19 +379,28 @@ def _seeded_dominant(rs, rng):
 
 @pytest.mark.parametrize("label", NEWTON_LABELS)
 def test_power_fold_matches_the_power_dp(label):
-    # F_d(nu) from Newton's recurrence on Adams operations against one
+    # The fold of Newton's recurrence on Adams operations against one
     # Racah-Speiser pass of the DP-built power character, for the adjoint
-    # layer and for the vector (+) adjoint layer.
+    # layer and for the vector (+) adjoint layer.  On rank 3 also two factors
+    # of one layer against the convolution of their DP characters; at (2, 2)
+    # lowering the last degree re-sorts the factors.
     rs = build_root_system(label)
     rng = random.Random(f"power fold {label}")
     vec, theta = omega_weight(rs.rank, (1, 1)), rs.highest_root.weight
+    pairs = ((1, 1), (1, 3), (2, 2)) if rs.rank == 3 else ()
     for comp in ((theta,), (vec, theta)):
         ch = component_char(rs, ModuleSpec((comp,)), 0)
         for nu in ((0,) * rs.rank, _seeded_dominant(rs, rng)):
             for kind in ("sym", "ext"):
                 for d in range(5):
                     oracle = _racah_speiser(rs, _power_char(ch, d, kind), {nu: 1})
-                    assert _power_fold(rs, kind, comp, d, nu) == oracle, (comp, nu, kind, d)
+                    factors = ((comp, d),) if d else ()
+                    assert _fold(rs, kind, factors, nu) == oracle, (comp, nu, kind, d)
+                for a, b in pairs:
+                    product_char = _power_char(ch, a, kind) * _power_char(ch, b, kind)
+                    oracle = _racah_speiser(rs, product_char, {nu: 1})
+                    factors = ((comp, a), (comp, b))
+                    assert _fold(rs, kind, factors, nu) == oracle, (comp, nu, kind, a, b)
 
 
 @pytest.mark.parametrize("label", NEWTON_LABELS)
@@ -411,9 +420,32 @@ def test_wedge_power_fold_at_and_beyond_the_top_degree(label):
         top = weyl_dim(rs, highest)
         for lam in ((0,) * rs.rank, _seeded_dominant(rs, rng)):
             assert c_coefficient(rs, ms, lam, lam, (top,)) == 1
-            assert _power_fold(rs, "ext", comp, top, lam) == {lam: 1}
-            assert _power_fold(rs, "ext", comp, top + 1, lam) == {}
+            assert _fold(rs, "ext", ((comp, top),), lam) == {lam: 1}
+            assert _fold(rs, "ext", ((comp, top + 1),), lam) == {}
             assert c_coefficient(rs, ms, lam, lam, (top + 1,)) == 0
+
+
+def test_each_fold_entry_costs_its_last_degree_in_kernel_passes(monkeypatch):
+    # A cold gch run makes exactly d Racah-Speiser passes for each memoised
+    # fold whose last factor has degree d, so no fold is ever recomputed.
+    import krchar.repchar as repchar
+    from krchar.graded import gch_N
+
+    kernel, passes = repchar._racah_speiser, []
+
+    def counted(rs, ch, start):
+        passes.append(1)
+        return kernel(rs, ch, start)
+
+    clear_memo_caches()
+    monkeypatch.setattr(repchar, "_racah_speiser", counted)
+    try:
+        gch_N(D5, (0, 0, 3, 0, 0), 3)
+        entries = repchar._coeff_cache.items()
+        assert entries and len(passes) == sum(key[2][-1][1] for key, _ in entries)
+        assert len(repchar._power_iso_cache) == 0
+    finally:
+        clear_memo_caches()
 
 
 def test_module_spec_adjoint():
