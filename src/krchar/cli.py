@@ -22,7 +22,7 @@ from .poset import (
     psi_of_mu,
 )
 from .repchar import IsoChar, ModuleSpec, active_tensor_cache, tensor_decompose
-from .rootsys import LieType, RootSystem, build_root_system, parse_lie_type
+from .rootsys import LieType, build_root_system, parse_lie_type, require_dominant
 from .verify import run_suite
 
 ENV_CACHE = "KRCHAR_CACHE"
@@ -54,17 +54,6 @@ def parse_point(text: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
     if not sep:
         raise InputError(f"expected 'coords@degree' but found no '@' in {text!r}")
     return parse_coords(left, "weight"), parse_coords(right, "degree")
-
-
-def _require_dominant(rs: RootSystem, w, what: str = "weight"):
-    """Reject a weight of the wrong rank or one that is not dominant."""
-    if len(w) != rs.rank:
-        raise InputError(
-            f"{what} {list(w)} has {len(w)} coordinates but {rs.lie_type} has rank {rs.rank}"
-        )
-    if not rs.is_dominant(w):
-        raise InputError(f"{what} {list(w)} is not dominant")
-    return w
 
 
 # -- serialisation ------------------------------------------------------------------
@@ -226,7 +215,6 @@ def _run_gch(args: argparse.Namespace) -> tuple[int, str]:
     lam = parse_coords(args.weight)
     ell = _ell(args)
     rs = build_root_system(algebra)
-    _require_dominant(rs, lam)
     g = gch_N(rs, lam, ell)
     if args.format == "json":
         return 0, json.dumps(graded_to_json(rs.lie_type, ell, g), indent=2)
@@ -241,8 +229,8 @@ def _run_ext(args: argparse.Namespace) -> tuple[int, str]:
     if args.j < 0:
         raise InputError(f"cohomological degree must be nonnegative, got {args.j}")
     rs = build_root_system(algebra)
-    _require_dominant(rs, a_w, "source weight")
-    _require_dominant(rs, b_w, "target weight")
+    require_dominant(rs, a_w, "source weight")
+    require_dominant(rs, b_w, "target weight")
     if len(a_d) != len(b_d):
         raise InputError(
             f"degree vectors {list(a_d)} and {list(b_d)} have different lengths"
@@ -260,7 +248,7 @@ def _run_gamma(args: argparse.Namespace) -> tuple[int, str]:
     ell = _ell(args)
     degree = parse_coords(args.degree, "degree") if args.degree is not None else (0,) * ell
     rs = build_root_system(algebra)
-    _require_dominant(rs, lam)
+    require_dominant(rs, lam)
     if len(degree) != ell:
         raise InputError(f"degree {list(degree)} does not have length ell={ell}")
     node = args.node if args.node is not None else i_lambda(rs, lam)
@@ -278,8 +266,8 @@ def _run_tensor(args: argparse.Namespace) -> tuple[int, str]:
     if len(weights) != 2:
         raise InputError("tensor needs exactly two --weight arguments")
     lam, nu = weights
-    _require_dominant(rs, lam)
-    _require_dominant(rs, nu)
+    require_dominant(rs, lam)
+    require_dominant(rs, nu)
     with _tensor_store(args):
         iso = tensor_decompose(rs, lam, nu)
     if args.format == "json":
@@ -301,7 +289,6 @@ def _run_psi(args: argparse.Namespace) -> tuple[int, str]:
         psi = psi_i(rs, args.node)  # raises on a node out of range
         header = f"psi_{args.node} for {rs.lie_type}"
     else:
-        _require_dominant(rs, mu)
         psi = psi_of_mu(rs, mu)
         header = f"psi({list(mu)}) for {rs.lie_type}"
     polytope = check_polytope_condition(rs, psi)

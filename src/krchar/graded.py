@@ -30,7 +30,7 @@ from .repchar import (
     freudenthal,
     sym_coefficient,
 )
-from .rootsys import RootSystem, Weight, _require_rank, add_weights, sub_weights
+from .rootsys import RootSystem, Weight, _require_rank, add_weights, require_dominant, sub_weights
 
 Entry = tuple[Weight, MultiDegree]
 
@@ -44,7 +44,10 @@ class GradedChar(SparseChar):
     __slots__ = ()
 
     def shift(self, r: MultiDegree) -> "GradedChar":
-        """Multiply by the monomial t^r."""
+        """Multiply by the monomial t^r; r must have the length of the degrees."""
+        degree = next((s for _, s in self.entries), r)  # all degrees share one length
+        if len(degree) != len(r):
+            raise ValueError(f"shift {tuple(r)} does not have the length of degree {degree}")
         return GradedChar({
             (w, add_weights(s, r)): v for (w, s), v in self.entries.items()
         })
@@ -90,9 +93,8 @@ def ext_dim(rs: RootSystem, ms: ModuleSpec, a: LambdaPoint, b: LambdaPoint,
     """dim Ext^j between the simples at a and b; nonzero only in the single
     cohomological degree matching the multidegree gap."""
     _require_lengths(rs, ms.ell, a, b)
-    for w in (a.weight, b.weight):
-        if not rs.is_dominant(w):
-            raise ValueError(f"ext_dim requires dominant weights, got {tuple(w)}")
+    require_dominant(rs, a.weight, "source weight")
+    require_dominant(rs, b.weight, "target weight")
     k = sub_weights(b.degree, a.degree)
     if any(x < 0 for x in k) or deg(k) != j:
         return 0
@@ -244,9 +246,7 @@ def gch_N(rs: RootSystem, lam, ell: int) -> GradedChar:
     """Graded character of the generalized Kirillov-Reshetikhin module with
     highest weight lam over ell grading variables, based at degree zero,
     read off symmetric powers (:func:`gch_P_direct`) on Gamma_{psi_lam}."""
-    lam = tuple(lam)
-    if not rs.is_dominant(lam):
-        raise ValueError(f"gch_N requires a dominant weight, got {lam}")
+    lam = require_dominant(rs, lam)
     key = (rs.lie_type, lam, ell)
     hit = _gch_n_cache.get(key)
     if hit is not None:

@@ -18,6 +18,7 @@ from .rootsys import (
     _require_rank,
     integral_root_coords,
     omega_weight,
+    require_dominant,
     sub_weights,
 )
 
@@ -63,8 +64,8 @@ def psi_i(rs: RootSystem, i: int) -> PsiSet:
 def psi_of_mu(rs: RootSystem, mu) -> PsiSet:
     """Roots minimising the pairing with mu: the face of the adjoint weight
     polytope that mu minimises."""
-    mu = tuple(mu)
-    if not rs.is_dominant(mu) or not any(mu):
+    mu = require_dominant(rs, mu)
+    if not any(mu):
         raise ValueError(f"psi_of_mu requires a nonzero dominant weight, got {mu}")
     pairings = {root.weight: rs.pair_root(mu, root) for root in rs.positive_roots}
     top = max(pairings.values())
@@ -77,8 +78,7 @@ def psi_of_mu(rs: RootSystem, mu) -> PsiSet:
 
 def i_lambda(rs: RootSystem, lam) -> int:
     """Largest non-spin node in the support of lam, with fallback 1."""
-    if not rs.is_dominant(lam):
-        raise ValueError(f"i_lambda requires a dominant weight, got {tuple(lam)}")
+    lam = require_dominant(rs, lam)
     best = 1
     for node in range(1, rs.rank + 1):
         if lam[node - 1] and node not in rs.spin_nodes:
@@ -286,9 +286,7 @@ def gamma_psi(rs: RootSystem, psi: PsiSet, base: LambdaPoint, ell: int) -> Gamma
     """
     psi = checked_psi(rs, psi)
     _require_lengths(rs, ell, base)
-    lam = tuple(base.weight)
-    if not rs.is_dominant(lam):
-        raise ValueError(f"base weight {lam} is not dominant")
+    lam = require_dominant(rs, base.weight, "base weight")
     base = LambdaPoint(lam, tuple(base.degree))
     keyed = []
     d_of: dict[Weight, int] = {}

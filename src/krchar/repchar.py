@@ -24,6 +24,7 @@ from .rootsys import (
     _descend,
     _weyl_dim_cache,
     add_weights,
+    require_dominant,
     weyl_dim,
 )
 
@@ -206,26 +207,25 @@ def adjoint_char(rs: RootSystem) -> WeightChar:
 _char_cache = register_cache(BoundedCache())
 
 
-def _freudenthal_tables(rs: RootSystem, lam: Weight):
-    """Full and dominant multiplicity tables of V(lam).
+def freudenthal(rs: RootSystem, lam) -> WeightChar:
+    """Character of the simple module V(lam); treat the result as immutable.
 
     Weights are generated level by level (depth = height of lam - mu), each
     candidate admitted iff its dominant conjugate stays under lam in the root
     order; Freudenthal's recursion is evaluated at dominant weights only and
     propagated along Weyl orbits.  Everything is plain integer arithmetic.
     """
+    lam = tuple(lam)
     key = (rs.lie_type, lam)
     hit = _char_cache.get(key)
     if hit is not None:
         return hit
-    if not rs.is_dominant(lam):
-        raise ValueError(f"freudenthal requires a dominant weight, got {lam}")
+    lam = require_dominant(rs, lam)
     n = rs.rank
     d = rs.half_lengths
     cartan = rs.cartan
     roots = rs.positive_roots
     full: dict[Weight, int] = {lam: 1}
-    dominant: dict[Weight, int] = {lam: 1}
     offsets: dict[Weight, tuple[int, ...]] = {lam: (0,) * n}
     level = [lam]
     while level:
@@ -270,7 +270,6 @@ def _freudenthal_tables(rs: RootSystem, lam: Weight):
                 m = num // den
                 if m <= 0:
                     raise AssertionError(f"non-positive multiplicity at {nu}")
-                dominant[nu] = m
             elif dom in full:
                 m = full[dom]
             else:
@@ -278,19 +277,14 @@ def _freudenthal_tables(rs: RootSystem, lam: Weight):
             full[nu] = m
             offsets[nu] = off
             level.append(nu)
-    result = (WeightChar(full), dominant)
+    result = WeightChar(full)
     _char_cache.put(key, result)
     return result
 
 
-def freudenthal(rs: RootSystem, lam) -> WeightChar:
-    """Character of the simple module V(lam); treat the result as immutable."""
-    return _freudenthal_tables(rs, tuple(lam))[0]
-
-
 def dominant_multiplicities(rs: RootSystem, lam) -> Mapping[Weight, int]:
     """Multiplicities of V(lam) at its dominant weights."""
-    return _freudenthal_tables(rs, tuple(lam))[1]
+    return {mu: m for mu, m in freudenthal(rs, lam).entries.items() if rs.is_dominant(mu)}
 
 
 # -- tensor products -----------------------------------------------------------
@@ -356,9 +350,7 @@ def tensor_decompose(rs: RootSystem, lam, nu) -> IsoChar:
     The weight system of the factor with the smaller Weyl dimension is
     iterated (ties go to nu).
     """
-    lam, nu = tuple(lam), tuple(nu)
-    if not rs.is_dominant(lam) or not rs.is_dominant(nu):
-        raise ValueError("tensor_decompose requires dominant weights")
+    lam, nu = require_dominant(rs, lam), require_dominant(rs, nu)
     key = (rs.lie_type,) + tuple(sorted((lam, nu)))
     cache = _tensor_cache
     hit = cache.get(key)
@@ -429,8 +421,8 @@ def sym_power(ch: WeightChar, k: int) -> WeightChar:
 def iso_decompose(rs: RootSystem, ch: WeightChar) -> IsoChar:
     """Write a Weyl-invariant character as a combination of simple characters.
 
-    Extracts repeatedly at a maximal remaining weight; a maximal weight that
-    is not dominant proves the input was not Weyl-invariant.  No production
+    Extracts repeatedly at a maximal remaining weight; a maximal weight with
+    a negative coordinate proves the input was not Weyl-invariant.  No production
     path uses it: it is the independent oracle that ``verify`` and the tests
     compare the Racah-Speiser results against.
     """
@@ -450,7 +442,7 @@ def iso_decompose(rs: RootSystem, ch: WeightChar) -> IsoChar:
                 break
         if not rs.is_dominant(w):
             raise ValueError(
-                f"character is not Weyl-invariant: maximal weight {w} is not dominant"
+                f"character is not Weyl-invariant: maximal weight {w} has a negative coordinate"
             )
         c = work.pop(w)
         out[w] = c
@@ -526,13 +518,11 @@ def _fold(rs: RootSystem, kind: str, factors: tuple, lam: Weight) -> Mapping[Wei
 
 
 def _hom_coefficient(rs: RootSystem, ms: ModuleSpec, lam, mu, k, kind: str) -> int:
-    lam, mu, k = tuple(lam), tuple(mu), tuple(int(x) for x in k)
+    lam, mu, k = require_dominant(rs, lam), require_dominant(rs, mu), tuple(k)
     if len(k) != ms.ell:
         raise ValueError(f"degree vector {k} does not match ell={ms.ell}")
-    if any(x < 0 for x in k):
-        raise ValueError(f"negative entry in degree vector {k}")
-    if not rs.is_dominant(lam) or not rs.is_dominant(mu):
-        raise ValueError("coefficients require dominant weights")
+    if not all(type(x) is int and x >= 0 for x in k):
+        raise ValueError(f"degree vector {k} has an entry that is not a nonnegative integer")
     factors = tuple(sorted((ms.components[i], ki) for i, ki in enumerate(k) if ki))
     return _fold(rs, kind, factors, lam).get(mu, 0)
 

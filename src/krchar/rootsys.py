@@ -278,11 +278,25 @@ def _descend(rs: RootSystem, xi) -> tuple[Weight, int]:
     return tuple(coords), parity
 
 
-def _require_rank(rs: RootSystem, xi) -> Weight:
-    """xi as a tuple; ValueError unless it has one coordinate per node."""
+def _require_rank(rs: RootSystem, xi, what: str = "weight") -> Weight:
+    """xi as a tuple; ValueError, naming xi as ``what``, unless it has one
+    integer coordinate per node.  This and :func:`require_dominant` are the
+    library's only refusals of a weight."""
     xi = tuple(xi)
     if len(xi) != rs.rank:
-        raise ValueError(f"weight {xi} does not have length {rs.rank}")
+        raise ValueError(
+            f"{what} {list(xi)} has {len(xi)} coordinates but {rs.lie_type} has rank {rs.rank}"
+        )
+    if not all(type(c) is int for c in xi):
+        raise ValueError(f"{what} {list(xi)} has a coordinate that is not an integer")
+    return xi
+
+
+def require_dominant(rs: RootSystem, xi, what: str = "weight") -> Weight:
+    """xi as a tuple; ValueError unless it is a dominant integer weight of rs."""
+    xi = _require_rank(rs, xi, what)
+    if min(xi) < 0:
+        raise ValueError(f"{what} {list(xi)} is not dominant")
     return xi
 
 
@@ -322,8 +336,7 @@ def weyl_dim(rs: RootSystem, lam) -> int:
     hit = _weyl_dim_cache.get(key)
     if hit is not None:
         return hit
-    if not rs.is_dominant(lam):
-        raise ValueError(f"weyl_dim requires a dominant weight, got {lam}")
+    lam = require_dominant(rs, lam)
     # Product of (lam + rho, beta) / (rho, beta), both integers in this
     # normalisation; one division keeps the arithmetic in integers.
     num = prod(rs.pair_root(lam, root) + root.md_sum for root in rs.positive_roots)

@@ -230,6 +230,25 @@ def test_ext_paper_one(capsys):
     assert json.loads(capsys.readouterr().out)["value"] == 1
 
 
+@pytest.mark.parametrize("argv,what", [
+    (["gch", "--weight", "{w}", "--ell", "2"], "weight"),
+    (["ext", "--from", "0,1,0,0@0", "--to", "{w}@1", "--j", "1"], "target weight"),
+    (["gamma", "--weight", "{w}", "--ell", "2"], "weight"),
+    (["tensor", "--weight", "1,0,0,0", "--weight", "{w}"], "weight"),
+    (["psi", "--weight", "{w}"], "weight"),
+], ids=["gch", "ext", "gamma", "tensor", "psi"])
+@pytest.mark.parametrize("w,refusal", [
+    ("0,1,0", "[0, 1, 0] has 3 coordinates but D4 has rank 4"),
+    ("0,-1,0,0", "[0, -1, 0, 0] is not dominant"),
+], ids=["wrong-length", "not-dominant"])
+def test_each_command_refuses_a_weight_with_the_same_line(argv, what, w, refusal, capsys):
+    argv = [argv[0], "--algebra", "D4"] + [a.format(w=w) for a in argv[1:]]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {what} {refusal}\n"
+
+
 def test_ext_rejects_a_non_dominant_weight(capsys):
     # The degree gap (1 -> 0) does not match --j, so without a weight check
     # the answer would be 0.

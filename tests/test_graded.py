@@ -346,13 +346,27 @@ def test_gch_N_validation():
     lambda: ext_dim(D4, ModuleSpec.adjoint(D4, 1), LambdaPoint((0, 1, 0, 0), (0, 0)),
                     LambdaPoint((0, 0, 0, 0), (1,)), 1),
     lambda: multiplicity_ell_profile(D4, (0, 2, 0, 0), (0, 0, 0, 0, 0), 2),
+    lambda: tensor_decompose(D4, (0, 1.0, 0, 0), (0, 1, 0, 0)),
+    lambda: weyl_dim(D4, (0, 0.5, 0, 0)),
+    lambda: sym_coefficient(D4, ModuleSpec.adjoint(D4, 2), (0, 1, 0, 0), (0, 1, 0, 0),
+                            (1.5, 0)),
+    lambda: gch_N(D4, (0, 1, 0, 0), 2).shift((1,)),
 ], ids=["weyl_dim", "freudenthal", "tensor-short", "tensor-long", "gch_N",
         "d_psi-lam", "d_psi-mu", "covers", "leq_psi", "dominant_conjugate-short",
         "dominant_conjugate-long", "root_coords", "integral_root_coords", "ext_dim",
-        "multiplicity_ell_profile"])
+        "multiplicity_ell_profile", "tensor-float-coordinate", "weyl_dim-float-coordinate",
+        "sym_coefficient-float-degree", "shift-short"])
 def test_weights_of_the_wrong_length_are_refused(call):
     with pytest.raises(ValueError):
         call()
+
+
+def test_the_two_weight_refusal_messages():
+    with pytest.raises(ValueError, match=r"^weight \[1, 0\] has 2 coordinates but D4 has rank 4$"):
+        freudenthal(D4, (1, 0))
+    with pytest.raises(ValueError, match=r"^source weight \[0, -1, 0, 0\] is not dominant$"):
+        ext_dim(D4, ModuleSpec.adjoint(D4, 1), LambdaPoint((0, -1, 0, 0), (0,)),
+                LambdaPoint((0, 0, 0, 0), (1,)), 1)
 
 
 def test_gch_P_recursive_rejects_an_unknown_mode():
