@@ -18,29 +18,23 @@ import sys
 import tempfile
 
 from .repchar import IsoChar, TensorCache
-from .rootsys import LieType, build_root_system, weyl_dim
+from .rootsys import LieType, build_root_system, require_dominant, weyl_dim
 
 HEADER = json.dumps({"format": "krchar-tensor-store", "version": 1})
-
-
-def _dominant(value, rank) -> tuple[int, ...]:
-    if not (isinstance(value, list) and len(value) == rank
-            and all(type(c) is int and c >= 0 for c in value)):
-        raise ValueError(f"{value!r} is not a dominant weight of rank {rank!r}")
-    return tuple(value)
 
 
 def _decomposition(line: bytes):
     """The cache key and multiplicities on one stored line; raises ValueError
     or TypeError when one of the module's line checks fails."""
     family, rank, lam, nu, pairs = json.loads(line)
-    lam, nu = _dominant(lam, rank), _dominant(nu, rank)
-    mults = {_dominant(mu, rank): m for mu, m in pairs}
-    if (type(rank) is not int or lam > nu or len(mults) != len(pairs)
-            or not all(type(m) is int and m > 0 for m in mults.values())):
-        raise ValueError("non-integer rank, lam > nu, a repeated mu or a "
-                         "multiplicity that is not a positive integer")
+    if type(rank) is not int or rank != len(lam):  # so a corrupt rank never builds a root system
+        raise ValueError(f"rank {rank!r} is not an integer or not the length of lam")
     rs = build_root_system(LieType(family, rank))
+    lam, nu = require_dominant(rs, lam), require_dominant(rs, nu)
+    mults = {require_dominant(rs, mu): m for mu, m in pairs}
+    if (lam > nu or len(mults) != len(pairs)
+            or not all(type(m) is int and m > 0 for m in mults.values())):
+        raise ValueError("lam > nu, a repeated mu or a multiplicity that is not a positive integer")
     if IsoChar(mults).total_dimension(rs) != weyl_dim(rs, lam) * weyl_dim(rs, nu):
         raise ValueError("sum m * dim V(mu) differs from dim V(lam) * dim V(nu)")
     return (rs.lie_type, lam, nu), mults

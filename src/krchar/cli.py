@@ -22,7 +22,8 @@ from .poset import (
     psi_of_mu,
 )
 from .repchar import IsoChar, ModuleSpec, active_tensor_cache, tensor_decompose
-from .rootsys import LieType, build_root_system, parse_lie_type, require_dominant
+from .rootsys import (LieType, build_root_system, parse_lie_type, require_degree,
+                      require_dominant, require_ell)
 from .verify import run_suite
 
 ENV_CACHE = "KRCHAR_CACHE"
@@ -189,12 +190,6 @@ def gamma_plain(gamma: GammaSet) -> str:
 # Each handler parses and checks its own arguments, then returns (exit code,
 # output text).
 
-def _ell(args: argparse.Namespace) -> int:
-    if args.ell < 1:
-        raise InputError(f"ell must be positive, got {args.ell}")
-    return args.ell
-
-
 @contextmanager
 def _tensor_store(args: argparse.Namespace):
     """Load the persistent tensor store ($KRCHAR_CACHE, else --cache) for the
@@ -213,7 +208,7 @@ def _tensor_store(args: argparse.Namespace):
 def _run_gch(args: argparse.Namespace) -> tuple[int, str]:
     algebra = parse_lie_type(args.algebra)
     lam = parse_coords(args.weight)
-    ell = _ell(args)
+    ell = require_ell(args.ell)
     rs = build_root_system(algebra)
     g = gch_N(rs, lam, ell)
     if args.format == "json":
@@ -245,12 +240,11 @@ def _run_ext(args: argparse.Namespace) -> tuple[int, str]:
 def _run_gamma(args: argparse.Namespace) -> tuple[int, str]:
     algebra = parse_lie_type(args.algebra)
     lam = parse_coords(args.weight)
-    ell = _ell(args)
+    ell = require_ell(args.ell)
     degree = parse_coords(args.degree, "degree") if args.degree is not None else (0,) * ell
     rs = build_root_system(algebra)
     require_dominant(rs, lam)
-    if len(degree) != ell:
-        raise InputError(f"degree {list(degree)} does not have length ell={ell}")
+    require_degree(degree, ell)
     node = args.node if args.node is not None else i_lambda(rs, lam)
     psi = psi_i(rs, node)  # raises on a node out of range
     gamma = gamma_psi(rs, psi, LambdaPoint(lam, degree), ell)

@@ -30,7 +30,8 @@ from .repchar import (
     freudenthal,
     sym_coefficient,
 )
-from .rootsys import RootSystem, Weight, _require_rank, add_weights, require_dominant, sub_weights
+from .rootsys import (RootSystem, Weight, _require_rank, add_weights, require_degree,
+                      require_dominant, require_ell, sub_weights)
 
 Entry = tuple[Weight, MultiDegree]
 
@@ -46,8 +47,7 @@ class GradedChar(SparseChar):
     def shift(self, r: MultiDegree) -> "GradedChar":
         """Multiply by the monomial t^r; r must have the length of the degrees."""
         degree = next((s for _, s in self.entries), r)  # all degrees share one length
-        if len(degree) != len(r):
-            raise ValueError(f"shift {tuple(r)} does not have the length of degree {degree}")
+        r = require_degree(r, len(degree), "shift")
         return GradedChar({
             (w, add_weights(s, r)): v for (w, s), v in self.entries.items()
         })
@@ -246,7 +246,7 @@ def gch_N(rs: RootSystem, lam, ell: int) -> GradedChar:
     """Graded character of the generalized Kirillov-Reshetikhin module with
     highest weight lam over ell grading variables, based at degree zero,
     read off symmetric powers (:func:`gch_P_direct`) on Gamma_{psi_lam}."""
-    lam = require_dominant(rs, lam)
+    lam, ell = require_dominant(rs, lam), require_ell(ell)  # before the lookup, as in freudenthal
     key = (rs.lie_type, lam, ell)
     hit = _gch_n_cache.get(key)
     if hit is not None:

@@ -18,7 +18,9 @@ from .rootsys import (
     _require_rank,
     integral_root_coords,
     omega_weight,
+    require_degree,
     require_dominant,
+    require_ell,
     sub_weights,
 )
 
@@ -196,8 +198,7 @@ def d_psi(rs: RootSystem, psi: PsiSet, lam, mu) -> int | None:
 def _require_lengths(rs: RootSystem, ell: int, *points: LambdaPoint) -> None:
     for p in points:
         _require_rank(rs, p.weight)
-        if len(p.degree) != ell:
-            raise ValueError(f"degree {p.degree} does not have length ell={ell}")
+        require_degree(p.degree, ell)
 
 
 def covers(rs: RootSystem, ms: ModuleSpec, a: LambdaPoint, b: LambdaPoint) -> bool:
@@ -285,7 +286,7 @@ def gamma_psi(rs: RootSystem, psi: PsiSet, base: LambdaPoint, ell: int) -> Gamma
     total degree.  psi goes through :func:`checked_psi` first.
     """
     psi = checked_psi(rs, psi)
-    _require_lengths(rs, ell, base)
+    _require_lengths(rs, require_ell(ell), base)
     lam = require_dominant(rs, base.weight, "base weight")
     base = LambdaPoint(lam, tuple(base.degree))
     keyed = []

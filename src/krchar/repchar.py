@@ -24,7 +24,9 @@ from .rootsys import (
     _descend,
     _weyl_dim_cache,
     add_weights,
+    require_degree,
     require_dominant,
+    require_ell,
     weyl_dim,
 )
 
@@ -178,8 +180,7 @@ class ModuleSpec:
     components: tuple[tuple[Weight, ...], ...]
 
     def __post_init__(self):
-        if not self.components:
-            raise ValueError("ModuleSpec needs at least one component")
+        require_ell(len(self.components))
 
     @property
     def ell(self) -> int:
@@ -187,10 +188,8 @@ class ModuleSpec:
 
     @classmethod
     def adjoint(cls, rs: RootSystem, ell: int) -> "ModuleSpec":
-        if ell < 1:
-            raise ValueError("ell must be positive")
         theta = rs.highest_root.weight
-        return cls(((theta,),) * ell)
+        return cls(((theta,),) * require_ell(ell))
 
 
 def adjoint_char(rs: RootSystem) -> WeightChar:
@@ -215,12 +214,11 @@ def freudenthal(rs: RootSystem, lam) -> WeightChar:
     order; Freudenthal's recursion is evaluated at dominant weights only and
     propagated along Weyl orbits.  Everything is plain integer arithmetic.
     """
-    lam = tuple(lam)
+    lam = require_dominant(rs, lam)  # before the lookup: 1.0 would hit the key of 1
     key = (rs.lie_type, lam)
     hit = _char_cache.get(key)
     if hit is not None:
         return hit
-    lam = require_dominant(rs, lam)
     n = rs.rank
     d = rs.half_lengths
     cartan = rs.cartan
@@ -518,11 +516,10 @@ def _fold(rs: RootSystem, kind: str, factors: tuple, lam: Weight) -> Mapping[Wei
 
 
 def _hom_coefficient(rs: RootSystem, ms: ModuleSpec, lam, mu, k, kind: str) -> int:
-    lam, mu, k = require_dominant(rs, lam), require_dominant(rs, mu), tuple(k)
-    if len(k) != ms.ell:
-        raise ValueError(f"degree vector {k} does not match ell={ms.ell}")
-    if not all(type(x) is int and x >= 0 for x in k):
-        raise ValueError(f"degree vector {k} has an entry that is not a nonnegative integer")
+    lam, mu = require_dominant(rs, lam), require_dominant(rs, mu)
+    k = require_degree(k, ms.ell, "degree vector")
+    if min(k) < 0:  # a Hom degree lies in Z_+^ell
+        raise ValueError(f"degree vector {list(k)} has a negative entry")
     factors = tuple(sorted((ms.components[i], ki) for i, ki in enumerate(k) if ki))
     return _fold(rs, kind, factors, lam).get(mu, 0)
 

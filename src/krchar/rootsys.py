@@ -280,8 +280,8 @@ def _descend(rs: RootSystem, xi) -> tuple[Weight, int]:
 
 def _require_rank(rs: RootSystem, xi, what: str = "weight") -> Weight:
     """xi as a tuple; ValueError, naming xi as ``what``, unless it has one
-    integer coordinate per node.  This and :func:`require_dominant` are the
-    library's only refusals of a weight."""
+    integer coordinate per node.  This and the three ``require_`` helpers are
+    the library's only refusals of a weight, a multidegree or an ell."""
     xi = tuple(xi)
     if len(xi) != rs.rank:
         raise ValueError(
@@ -294,10 +294,31 @@ def _require_rank(rs: RootSystem, xi, what: str = "weight") -> Weight:
 
 def require_dominant(rs: RootSystem, xi, what: str = "weight") -> Weight:
     """xi as a tuple; ValueError unless it is a dominant integer weight of rs."""
-    xi = _require_rank(rs, xi, what)
-    if min(xi) < 0:
+    xi = tuple(xi)
+    # One pass on the common path; the messages keep _require_rank's order.
+    if len(xi) != rs.rank or not all(type(c) is int and c >= 0 for c in xi):
+        _require_rank(rs, xi, what)
         raise ValueError(f"{what} {list(xi)} is not dominant")
     return xi
+
+
+def require_degree(r, ell: int, what: str = "degree") -> tuple[int, ...]:
+    """r as a tuple; ValueError, naming r as ``what``, unless it has ell integer entries."""
+    r = tuple(r)
+    if len(r) != ell:
+        raise ValueError(f"{what} {list(r)} does not have length ell={ell}")
+    if not all(type(x) is int for x in r):
+        raise ValueError(f"{what} {list(r)} has an entry that is not an integer")
+    return r
+
+
+def require_ell(ell) -> int:
+    """ell; ValueError unless it is a positive integer (the number of grading variables)."""
+    if type(ell) is not int:
+        raise ValueError(f"ell must be an integer, got {ell!r}")
+    if ell < 1:
+        raise ValueError(f"ell must be positive, got {ell}")
+    return ell
 
 
 def dominant_conjugate(rs: RootSystem, xi) -> tuple[Weight, int, bool]:

@@ -84,6 +84,7 @@ _TAMPERED = {
     "rank": '["A",2,[1],[1],[[[0],1],[[2],1]]]',
     "order": '["A",1,[2],[1],[[[1],1],[[3],1]]]',
     "non-dominant": '["A",1,[1],[1],[[[-2],1],[[2],1]]]',
+    "float weight": '["A",1,[1.0],[1],[[[0],1],[[2],1]]]',
     "zero multiplicity": '["A",1,[1],[1],[[[0],1],[[2],1],[[4],0]]]',
     "float multiplicity": '["A",1,[1],[1],[[[0],1.0],[[2],1]]]',
     "bool multiplicity": '["A",1,[1],[1],[[[0],true],[[2],1]]]',

@@ -249,6 +249,25 @@ def test_each_command_refuses_a_weight_with_the_same_line(argv, what, w, refusal
     assert captured.err == f"error: {what} {refusal}\n"
 
 
+@pytest.mark.parametrize("argv,refusal", [
+    (["gamma", "--weight", "0,1,0,0", "--ell", "2", "--degree", "1"],
+     "degree [1] does not have length ell=2"),
+    (["gamma", "--weight", "0,1,0,0", "--ell", "0"], "ell must be positive, got 0"),
+    (["gch", "--weight", "0,1,0,0", "--ell", "0"], "ell must be positive, got 0"),
+    (["gch", "--weight", "0,1,0", "--ell", "0"], "ell must be positive, got 0"),
+    (["ext", "--from", "0,1,0,0@0", "--to", "0,0,0,0@1,0", "--j", "1"],
+     "degree vectors [0] and [1, 0] have different lengths"),
+    (["gamma", "--weight", "0,1,0", "--ell", "2", "--degree", "1"],
+     "weight [0, 1, 0] has 3 coordinates but D4 has rank 4"),
+], ids=["gamma-degree-length", "gamma-ell-0", "gch-ell-0", "gch-ell-before-weight",
+        "ext-degree-lengths", "gamma-weight-before-degree"])
+def test_each_degree_and_ell_refusal_prints_one_line(argv, refusal, capsys):
+    assert main([argv[0], "--algebra", "D4"] + argv[1:]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {refusal}\n"
+
+
 def test_ext_rejects_a_non_dominant_weight(capsys):
     # The degree gap (1 -> 0) does not match --j, so without a weight check
     # the answer would be 0.

@@ -351,11 +351,25 @@ def test_gch_N_validation():
     lambda: sym_coefficient(D4, ModuleSpec.adjoint(D4, 2), (0, 1, 0, 0), (0, 1, 0, 0),
                             (1.5, 0)),
     lambda: gch_N(D4, (0, 1, 0, 0), 2).shift((1,)),
+    lambda: gamma_psi(D4, psi_i(D4, 2), LambdaPoint((0, 1, 0, 0), (0.5,)), 1),
+    lambda: covers(D4, ModuleSpec.adjoint(D4, 1), LambdaPoint((0, 1, 0, 0), (0,)),
+                   LambdaPoint((0, 0, 0, 0), (1.0,))),
+    lambda: leq_psi(D4, psi_i(D4, 2), LambdaPoint((0, 1, 0, 0), (0.5,)),
+                    LambdaPoint((0, 0, 0, 0), (1.5,))),
+    lambda: gch_N(D4, (0, 1, 0, 0), 2).shift((0.5, 0)),
+    lambda: gamma_psi(D4, psi_i(D4, 2), LambdaPoint((0, 1, 0, 0), ()), 0),
+    lambda: gch_N(D4, (0, 1, 0, 0), 1.5),
+    lambda: ModuleSpec.adjoint(D4, 1.5),
+    lambda: (gch_N(D4, (0, 1, 0, 0), 1), gch_N(D4, (0, 1, 0, 0), 1.0)),
+    lambda: (freudenthal(D4, (0, 1, 0, 0)), freudenthal(D4, (0, 1.0, 0, 0))),
 ], ids=["weyl_dim", "freudenthal", "tensor-short", "tensor-long", "gch_N",
         "d_psi-lam", "d_psi-mu", "covers", "leq_psi", "dominant_conjugate-short",
         "dominant_conjugate-long", "root_coords", "integral_root_coords", "ext_dim",
         "multiplicity_ell_profile", "tensor-float-coordinate", "weyl_dim-float-coordinate",
-        "sym_coefficient-float-degree", "shift-short"])
+        "sym_coefficient-float-degree", "shift-short", "gamma_psi-float-degree",
+        "covers-float-degree", "leq_psi-float-degree", "shift-float", "gamma_psi-ell-0",
+        "gch_N-float-ell", "adjoint-float-ell", "gch_N-float-ell-after-warm",
+        "freudenthal-float-after-warm"])
 def test_weights_of_the_wrong_length_are_refused(call):
     with pytest.raises(ValueError):
         call()
@@ -367,6 +381,17 @@ def test_the_two_weight_refusal_messages():
     with pytest.raises(ValueError, match=r"^source weight \[0, -1, 0, 0\] is not dominant$"):
         ext_dim(D4, ModuleSpec.adjoint(D4, 1), LambdaPoint((0, -1, 0, 0), (0,)),
                 LambdaPoint((0, 0, 0, 0), (1,)), 1)
+
+
+def test_the_degree_and_ell_refusal_messages():
+    with pytest.raises(ValueError, match=r"^degree \[0\.5\] has an entry that is not an integer$"):
+        gamma_psi(D4, psi_i(D4, 2), LambdaPoint((0, 1, 0, 0), (0.5,)), 1)
+    with pytest.raises(ValueError, match=r"^degree vector \[1, -1\] has a negative entry$"):
+        sym_coefficient(D4, ModuleSpec.adjoint(D4, 2), (0, 1, 0, 0), (0, 1, 0, 0), (1, -1))
+    with pytest.raises(ValueError, match=r"^ell must be positive, got 0$"):
+        ModuleSpec(())
+    with pytest.raises(ValueError, match=r"^ell must be an integer, got 1\.5$"):
+        gch_N(D4, (0, 1, 0, 0), 1.5)
 
 
 def test_gch_P_recursive_rejects_an_unknown_mode():
