@@ -294,7 +294,7 @@ def multiplicity_ell_profile(rs: RootSystem, lam, mu, ell_max: int) -> list[int]
     highest weight lam, for each number of grading variables 1..ell_max."""
     mu = _require_rank(rs, mu)
     profile = []
-    for ell in range(1, ell_max + 1):
+    for ell in range(1, require_ell(ell_max) + 1):
         g = gch_N(rs, lam, ell)
         profile.append(sum(v for (w, _), v in g.entries.items() if w == mu))
     return profile

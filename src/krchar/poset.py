@@ -16,6 +16,7 @@ from .rootsys import (
     RootSystem,
     Weight,
     _require_rank,
+    dominant_weights_below,
     integral_root_coords,
     omega_weight,
     require_degree,
@@ -260,30 +261,14 @@ class GammaSet:
         return f"GammaSet(base={self.base}, size={len(self.points)})"
 
 
-def _dominant_weights_below(rs: RootSystem, lam: Weight) -> set[Weight]:
-    """The dominant weights of V(lam), reached from lam by steps that subtract
-    a positive root and stay dominant (Stembridge, "The partial order of
-    dominant weights", 1998); no weight system is built."""
-    found = {lam}
-    todo = [lam]
-    while todo:
-        mu = todo.pop()
-        for root in rs.positive_roots:
-            nu = sub_weights(mu, root.weight)
-            if nu not in found and rs.is_dominant(nu):
-                found.add(nu)
-                todo.append(nu)
-    return found
-
-
 def gamma_psi(rs: RootSystem, psi: PsiSet, base: LambdaPoint, ell: int) -> GammaSet:
     """Enumerate every point reachable from ``base`` in the refined order.
 
     Candidate weights are the dominant weights under base.weight in the root
-    order, found by a walk down positive roots from base.weight; a candidate
-    is kept when the psi-distance is defined.  The multidegrees of a kept
-    weight are all shifts of the base degree by a vector of the matching
-    total degree.  psi goes through :func:`checked_psi` first.
+    order, listed by :func:`rootsys.dominant_weights_below`; a candidate is
+    kept when the psi-distance is defined.  The multidegrees of a kept weight
+    are all shifts of the base degree by a vector of the matching total
+    degree.  psi goes through :func:`checked_psi` first.
     """
     psi = checked_psi(rs, psi)
     _require_lengths(rs, require_ell(ell), base)
@@ -291,7 +276,7 @@ def gamma_psi(rs: RootSystem, psi: PsiSet, base: LambdaPoint, ell: int) -> Gamma
     base = LambdaPoint(lam, tuple(base.degree))
     keyed = []
     d_of: dict[Weight, int] = {}
-    for mu in _dominant_weights_below(rs, lam):
+    for mu in dominant_weights_below(rs, lam):
         d = d_psi(rs, psi, lam, mu)
         if d is None:
             continue

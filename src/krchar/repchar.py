@@ -1,12 +1,14 @@
 """Exact character arithmetic for the classical simple Lie algebras.
 
-Weight multiplicities come from the Freudenthal recursion.  One signed
-Racah-Speiser kernel computes every tensor product: two simples, and the
-graded Hom coefficients, which one memoised recursion folds into V(lam) by
-Newton's identity on Adams operations, so no power is ever built.  The power
-DP, the convolution of two WeightChars and ``iso_decompose`` are kept only as
-independent oracles.  All intermediate characters may be virtual (signed);
-genuineness is asserted only where a result promises an actual module.
+Weight multiplicities come from Freudenthal's formula on the dominant
+weights, the only multiplicities memoised; a full character spreads them over
+Weyl orbits.  One signed Racah-Speiser kernel computes every tensor product:
+two simples, and the graded Hom coefficients, which one memoised recursion
+folds into V(lam) by Newton's identity on Adams operations, so no power is
+ever built.  The power DP, the convolution of two WeightChars and
+``iso_decompose`` are kept only as independent oracles.  All intermediate
+characters may be virtual (signed); genuineness is asserted only where a
+result promises an actual module.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .rootsys import (
     _descend,
     _weyl_dim_cache,
     add_weights,
+    dominant_weights_below,
     require_degree,
     require_dominant,
     require_ell,
@@ -206,13 +209,14 @@ def adjoint_char(rs: RootSystem) -> WeightChar:
 _char_cache = register_cache(BoundedCache())
 
 
-def freudenthal(rs: RootSystem, lam) -> WeightChar:
-    """Character of the simple module V(lam); treat the result as immutable.
+def dominant_multiplicities(rs: RootSystem, lam) -> Mapping[Weight, int]:
+    """Multiplicities of V(lam) at its dominant weights; treat the result as
+    immutable.
 
-    Weights are generated level by level (depth = height of lam - mu), each
-    candidate admitted iff its dominant conjugate stays under lam in the root
-    order; Freudenthal's recursion is evaluated at dominant weights only and
-    propagated along Weyl orbits.  Everything is plain integer arithmetic.
+    Freudenthal's formula is evaluated on the dominant weights only, from the
+    top down (Moody-Patera, Bull. AMS 7, 1982): each m(mu + k beta) is read at
+    the dominant conjugate of mu + k beta, which lies strictly above mu and is
+    therefore already known.  Everything is plain integer arithmetic.
     """
     lam = require_dominant(rs, lam)  # before the lookup: 1.0 would hit the key of 1
     key = (rs.lie_type, lam)
@@ -221,68 +225,54 @@ def freudenthal(rs: RootSystem, lam) -> WeightChar:
         return hit
     n = rs.rank
     d = rs.half_lengths
+    mults: dict[Weight, int] = {}
+    for mu, off in dominant_weights_below(rs, lam).items():
+        if mu == lam:
+            mults[mu] = 1
+            continue
+        acc = 0
+        for root in rs.positive_roots:
+            rw = root.weight
+            pair = sum(m * c for m, c in zip(root.md, mu))
+            step = 2 * root.half_norm
+            k = 1
+            x = add_weights(mu, rw)
+            while True:
+                mx = mults.get(_descend(rs, x)[0])
+                if mx is None:  # weight strings are unbroken
+                    break
+                acc += mx * (pair + k * step)
+                k += 1
+                x = add_weights(x, rw)
+        den = sum(off[i] * d[i] * (lam[i] + mu[i] + 2) for i in range(n))
+        num = 2 * acc
+        if den <= 0 or num % den:
+            raise AssertionError(f"Freudenthal division failed at {mu}")
+        m = num // den
+        if m <= 0:
+            raise AssertionError(f"non-positive multiplicity at {mu}")
+        mults[mu] = m
+    _char_cache.put(key, mults)
+    return mults
+
+
+def freudenthal(rs: RootSystem, lam) -> WeightChar:
+    """Character of the simple module V(lam): each dominant multiplicity
+    spread over its Weyl orbit, walked by simple reflections at the positive
+    coordinates."""
     cartan = rs.cartan
-    roots = rs.positive_roots
-    full: dict[Weight, int] = {lam: 1}
-    offsets: dict[Weight, tuple[int, ...]] = {lam: (0,) * n}
-    level = [lam]
-    while level:
-        candidates: dict[Weight, tuple[int, ...]] = {}
-        for mu in level:
-            off = offsets[mu]
-            for i in range(n):
-                row = cartan[i]
-                nu = tuple(m - c for m, c in zip(mu, row))
-                if nu in candidates or nu in full:
-                    continue
-                noff = list(off)
-                noff[i] += 1
-                candidates[nu] = tuple(noff)
-        level = []
-        for nu, off in candidates.items():
-            # A dominant nu <= lam is a weight.  Any other dom lies on an
-            # earlier level (dom - nu is in Q+), and the weights are saturated,
-            # so nu is a weight exactly when dom was found there.
-            dom, _ = _descend(rs, nu)
-            if dom == nu:
-                acc = 0
-                for root in roots:
-                    rw = root.weight
-                    pair = sum(m * c for m, c in zip(root.md, nu))
-                    step = 2 * root.half_norm
-                    k = 1
-                    x = add_weights(nu, rw)
-                    while True:
-                        mx = full.get(x)
-                        if mx is None:
-                            break
-                        acc += mx * (pair + k * step)
-                        k += 1
-                        x = add_weights(x, rw)
-                den = sum(
-                    off[i] * d[i] * (lam[i] + nu[i] + 2) for i in range(n)
-                )
-                num = 2 * acc
-                if den <= 0 or num % den:
-                    raise AssertionError(f"Freudenthal division failed at {nu}")
-                m = num // den
-                if m <= 0:
-                    raise AssertionError(f"non-positive multiplicity at {nu}")
-            elif dom in full:
-                m = full[dom]
-            else:
-                continue
-            full[nu] = m
-            offsets[nu] = off
-            level.append(nu)
-    result = WeightChar(full)
-    _char_cache.put(key, result)
-    return result
-
-
-def dominant_multiplicities(rs: RootSystem, lam) -> Mapping[Weight, int]:
-    """Multiplicities of V(lam) at its dominant weights."""
-    return {mu: m for mu, m in freudenthal(rs, lam).entries.items() if rs.is_dominant(mu)}
+    full: dict[Weight, int] = {}
+    for mu, m in dominant_multiplicities(rs, lam).items():
+        full[mu] = m
+        orbit = [mu]
+        for w in orbit:
+            for i, c in enumerate(w):
+                if c > 0:
+                    x = tuple(a - c * r for a, r in zip(w, cartan[i]))
+                    if x not in full:
+                        full[x] = m
+                        orbit.append(x)
+    return WeightChar(full)
 
 
 # -- tensor products -----------------------------------------------------------

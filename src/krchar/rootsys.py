@@ -5,7 +5,9 @@ Weights are plain integer tuples in the fundamental-weight basis throughout:
 node numbering.  Root coordinates (coefficients on the simple roots) are
 recovered on demand by an exact rational solve.  No floating point is used
 anywhere; the bilinear form is normalised so that short roots have squared
-length 2.
+length 2.  :func:`dominant_weights_below` is the one enumeration of the
+dominant weights of a simple module: the Freudenthal multiplicities and the
+Gamma sets both start from it.
 """
 
 from __future__ import annotations
@@ -352,12 +354,11 @@ _weyl_dim_cache: dict[tuple[LieType, Weight], int] = {}
 
 def weyl_dim(rs: RootSystem, lam) -> int:
     """Dimension of the simple module V(lam) by the Weyl product formula."""
-    lam = tuple(lam)
+    lam = require_dominant(rs, lam)  # before the lookup: 1.0 would hit the key of 1
     key = (rs.lie_type, lam)
     hit = _weyl_dim_cache.get(key)
     if hit is not None:
         return hit
-    lam = require_dominant(rs, lam)
     # Product of (lam + rho, beta) / (rho, beta), both integers in this
     # normalisation; one division keeps the arithmetic in integers.
     num = prod(rs.pair_root(lam, root) + root.md_sum for root in rs.positive_roots)
@@ -366,6 +367,28 @@ def weyl_dim(rs: RootSystem, lam) -> int:
         raise AssertionError(f"non-integral Weyl dimension for {lam}")
     _weyl_dim_cache[key] = value
     return value
+
+
+def dominant_weights_below(rs: RootSystem, lam) -> dict[Weight, tuple[int, ...]]:
+    """The dominant weights mu of V(lam), each with the integer root
+    coordinates of lam - mu, in order of increasing height of lam - mu.
+
+    They are reached from lam by steps that subtract a positive root and stay
+    dominant (Stembridge, "The partial order of dominant weights", 1998); no
+    weight system is built.
+    """
+    lam = require_dominant(rs, lam)
+    found = {lam: (0,) * rs.rank}
+    todo = [lam]
+    while todo:
+        mu = todo.pop()
+        coords = found[mu]
+        for root in rs.positive_roots:
+            nu = sub_weights(mu, root.weight)
+            if nu not in found and rs.is_dominant(nu):
+                found[nu] = add_weights(coords, root.coords)
+                todo.append(nu)
+    return dict(sorted(found.items(), key=lambda item: sum(item[1])))
 
 
 def omega_weight(rank: int, *terms: tuple[int, int]) -> Weight:

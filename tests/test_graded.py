@@ -362,6 +362,9 @@ def test_gch_N_validation():
     lambda: ModuleSpec.adjoint(D4, 1.5),
     lambda: (gch_N(D4, (0, 1, 0, 0), 1), gch_N(D4, (0, 1, 0, 0), 1.0)),
     lambda: (freudenthal(D4, (0, 1, 0, 0)), freudenthal(D4, (0, 1.0, 0, 0))),
+    lambda: multiplicity_ell_profile(D4, (0, 1, 0, 0), (0, 0, 0, 0), 0),
+    lambda: multiplicity_ell_profile(D4, (0, 1, 0, 0), (0, 0, 0, 0), 1.5),
+    lambda: (weyl_dim(D4, (0, 1, 0, 0)), weyl_dim(D4, (0, 1.0, 0, 0))),
 ], ids=["weyl_dim", "freudenthal", "tensor-short", "tensor-long", "gch_N",
         "d_psi-lam", "d_psi-mu", "covers", "leq_psi", "dominant_conjugate-short",
         "dominant_conjugate-long", "root_coords", "integral_root_coords", "ext_dim",
@@ -369,7 +372,8 @@ def test_gch_N_validation():
         "sym_coefficient-float-degree", "shift-short", "gamma_psi-float-degree",
         "covers-float-degree", "leq_psi-float-degree", "shift-float", "gamma_psi-ell-0",
         "gch_N-float-ell", "adjoint-float-ell", "gch_N-float-ell-after-warm",
-        "freudenthal-float-after-warm"])
+        "freudenthal-float-after-warm", "profile-ell-0", "profile-float-ell",
+        "weyl_dim-float-after-warm"])
 def test_weights_of_the_wrong_length_are_refused(call):
     with pytest.raises(ValueError):
         call()

@@ -1,5 +1,6 @@
 """Tests for Psi-sets, the refined order, distances and Gamma enumeration."""
 
+import math
 import os
 import random
 import subprocess
@@ -12,7 +13,6 @@ import pytest
 from krchar.poset import (
     GammaSet,
     LambdaPoint,
-    _dominant_weights_below,
     check_polytope_condition,
     check_psi_extra,
     checked_psi,
@@ -28,8 +28,8 @@ from krchar.poset import (
     psi_of_mu,
 )
 from krchar.ratlp import exposes
-from krchar.repchar import ModuleSpec, adjoint_char, dominant_multiplicities
-from krchar.rootsys import build_root_system, omega_weight, weyl_dim
+from krchar.repchar import ModuleSpec, adjoint_char
+from krchar.rootsys import build_root_system, dominant_weights_below, omega_weight, root_coords
 
 A1 = build_root_system("A1")
 A2 = build_root_system("A2")
@@ -318,8 +318,9 @@ def test_gamma_base_check_survives_python_O():
 import krchar.poset as poset
 from krchar.rootsys import build_root_system
 rs = build_root_system("D4")
-full = poset._dominant_weights_below
-poset._dominant_weights_below = lambda rs, lam: full(rs, lam) - {lam}
+full = poset.dominant_weights_below
+poset.dominant_weights_below = lambda rs, lam: {
+    mu: c for mu, c in full(rs, lam).items() if mu != lam}
 try:
     poset.gamma_psi(rs, poset.psi_i(rs, 2), poset.LambdaPoint((0, 2, 0, 0), (0,)), 1)
 except AssertionError as exc:
@@ -334,10 +335,13 @@ else:
 
 @pytest.mark.parametrize("label", [x for x in CLASSICAL_RANK_8 if int(x[1:]) <= 6])
 def test_dominant_weight_walk_matches_freudenthal(label):
-    # The walk down positive roots against the dominant keys of the full
-    # Freudenthal weight system, on seeded weights with up to two nonzero
-    # coordinates of size 1 or 2.  Weights of dimension above 20,000 are
-    # drawn again: Freudenthal on them takes seconds, the walk does not.
+    # The walk that Freudenthal's formula and Gamma run over, against its
+    # definition (Freudenthal reads the walk, so it cannot be the oracle):
+    # every dominant mu with lam - mu in Q+, found by brute force over the
+    # box of root coordinates under lam (a dominant mu has nonnegative root
+    # coordinates, so those of lam - mu are at most those of lam), on seeded
+    # weights with up to two nonzero coordinates of size 1 or 2.  Boxes
+    # above 20,000 points are drawn again.
     rs = build_root_system(label)
     rng = random.Random(f"walk {label}")
     checked = 0
@@ -346,9 +350,19 @@ def test_dominant_weight_walk_matches_freudenthal(label):
         for node in rng.sample(range(rs.rank), min(2, rs.rank)):
             lam[node] += rng.randint(1, 2)
         lam = tuple(lam)
-        if weyl_dim(rs, lam) > 20_000:
+        box = [int(c) for c in root_coords(rs, lam)]
+        if math.prod(b + 1 for b in box) > 20_000:
             continue
-        assert _dominant_weights_below(rs, lam) == set(dominant_multiplicities(rs, lam)), lam
+        brute = {}
+        for c in product(*(range(b + 1) for b in box)):
+            mu = tuple(x - sum(ci * rs.cartan[i][j] for i, ci in enumerate(c))
+                       for j, x in enumerate(lam))
+            if min(mu) >= 0:
+                brute[mu] = c
+        walk = dominant_weights_below(rs, lam)
+        assert walk == brute, lam
+        heights = [sum(c) for c in walk.values()]
+        assert heights == sorted(heights), lam
         checked += 1
 
 

@@ -82,6 +82,48 @@ def test_freudenthal_rejects_non_dominant():
         freudenthal(A1, (-2,))
 
 
+def _alternant(rs, nu):
+    """sum over w in W of eps(w) e^{w nu} for a strictly dominant nu: a signed
+    walk of its orbit by simple reflections, each flipping the sign."""
+    out = {nu: 1}
+    orbit = [nu]
+    for w in orbit:
+        for i, c in enumerate(w):
+            if c > 0:
+                x = tuple(a - c * r for a, r in zip(w, rs.cartan[i]))
+                if x not in out:
+                    out[x] = -out[w]
+                    orbit.append(x)
+    return WeightChar(out)
+
+
+WEYL_ORACLE_LABELS = (["A1", "A2", "A3", "A4"] + ["B2", "B3", "B4"] + ["C2", "C3", "C4"]
+                      + ["D4"])
+
+
+@pytest.mark.parametrize("label", WEYL_ORACLE_LABELS)
+def test_freudenthal_satisfies_the_weyl_character_formula(label):
+    # An oracle that shares nothing with Freudenthal's formula:
+    # ch V(lam) * A(rho) = A(lam + rho), with A(nu) the alternant of nu and
+    # the product the convolution of two WeightChars.  Seeded weights with up
+    # to two nonzero coordinates of size 1 to 3; repeats and dimensions
+    # above 4,000 are drawn again.
+    rs = build_root_system(label)
+    rng = random.Random(f"weyl character formula {label}")
+    a_rho = _alternant(rs, rs.rho)
+    checked = set()
+    while len(checked) < 3:
+        lam = [0] * rs.rank
+        for node in rng.sample(range(rs.rank), min(2, rs.rank)):
+            lam[node] += rng.randint(1, 3)
+        lam = tuple(lam)
+        if lam in checked or weyl_dim(rs, lam) > 4_000:
+            continue
+        shifted = tuple(x + 1 for x in lam)
+        assert freudenthal(rs, lam) * a_rho == _alternant(rs, shifted), lam
+        checked.add(lam)
+
+
 def test_dominant_multiplicities_subset():
     lam = omega_weight(4, (2, 1))
     dom = dominant_multiplicities(D4, lam)
