@@ -7,7 +7,6 @@ import argparse
 import json
 import os
 import sys
-from contextlib import contextmanager
 
 from . import cache as cache_io
 from .graded import GradedChar, ext_dim, gch_N
@@ -70,14 +69,6 @@ def graded_to_json(algebra: LieType, ell: int, g: GradedChar) -> dict:
     }
 
 
-def graded_from_json(doc: dict) -> tuple[LieType, int, GradedChar]:
-    algebra = parse_lie_type(doc["algebra"])
-    entries = {
-        (tuple(e["weight"]), tuple(e["degree"])): e["mult"] for e in doc["entries"]
-    }
-    return algebra, doc["ell"], GradedChar(entries)
-
-
 def iso_to_json(algebra: LieType, iso: IsoChar) -> dict:
     return {
         "algebra": str(algebra),
@@ -85,13 +76,6 @@ def iso_to_json(algebra: LieType, iso: IsoChar) -> dict:
             {"weight": list(w), "mult": m} for w, m in sorted(iso.entries.items())
         ],
     }
-
-
-def iso_from_json(doc: dict) -> tuple[LieType, IsoChar]:
-    return (
-        parse_lie_type(doc["algebra"]),
-        IsoChar({tuple(e["weight"]): e["mult"] for e in doc["entries"]}),
-    )
 
 
 def gamma_to_json(algebra: LieType, gamma: GammaSet) -> dict:
@@ -109,19 +93,6 @@ def gamma_to_json(algebra: LieType, gamma: GammaSet) -> dict:
             for p in gamma.points
         ],
     }
-
-
-def gamma_from_json(doc: dict) -> tuple[LieType, GammaSet]:
-    """Enumerate the set again from the document's psi, base and ell; its
-    points and distances must match the enumeration."""
-    algebra = parse_lie_type(doc["algebra"])
-    base = LambdaPoint(tuple(doc["base"]["weight"]), tuple(doc["base"]["degree"]))
-    psi = frozenset(tuple(w) for w in doc["psi"])
-    gamma = gamma_psi(build_root_system(algebra), psi, base, doc["ell"])
-    listed = [(tuple(p["weight"]), tuple(p["degree"]), p["d"]) for p in doc["points"]]
-    if listed != [(p.weight, p.degree, gamma.d_of[p.weight]) for p in gamma.points]:
-        raise ValueError("gamma points or distances differ from the enumeration of psi and base")
-    return algebra, gamma
 
 
 def weight_latex(w) -> str:
@@ -190,21 +161,6 @@ def gamma_plain(gamma: GammaSet) -> str:
 # Each handler parses and checks its own arguments, then returns (exit code,
 # output text).
 
-@contextmanager
-def _tensor_store(args: argparse.Namespace):
-    """Load the persistent tensor store ($KRCHAR_CACHE, else --cache) for the
-    body; rewrite it only when the body succeeded and computed a decomposition
-    or dropped a corrupt line."""
-    path = os.environ.get(ENV_CACHE) or args.cache_path
-    cache = active_tensor_cache()
-    before = (cache.computed, cache.dropped)
-    if path:
-        cache_io.cache_load(path, cache)
-    yield
-    if path and (cache.computed, cache.dropped) != before:
-        cache_io.cache_store(path, cache)
-
-
 def _run_gch(args: argparse.Namespace) -> tuple[int, str]:
     algebra = parse_lie_type(args.algebra)
     lam = parse_coords(args.weight)
@@ -262,8 +218,17 @@ def _run_tensor(args: argparse.Namespace) -> tuple[int, str]:
     lam, nu = weights
     require_dominant(rs, lam)
     require_dominant(rs, nu)
-    with _tensor_store(args):
-        iso = tensor_decompose(rs, lam, nu)
+    # $KRCHAR_CACHE wins over --cache; the store is read only after the
+    # input checks, and rewritten only when this call succeeded and computed
+    # a decomposition or dropped a corrupt line.
+    path = os.environ.get(ENV_CACHE) or args.cache_path
+    cache = active_tensor_cache()
+    before = (cache.computed, cache.dropped)
+    if path:
+        cache_io.cache_load(path, cache)
+    iso = tensor_decompose(rs, lam, nu)
+    if path and (cache.computed, cache.dropped) != before:
+        cache_io.cache_store(path, cache)
     if args.format == "json":
         return 0, json.dumps(iso_to_json(rs.lie_type, iso), indent=2)
     if args.format == "latex":
@@ -305,8 +270,7 @@ def _run_psi(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def _run_verify(args: argparse.Namespace) -> tuple[int, str]:
-    with _tensor_store(args):
-        results = run_suite(args.suite)
+    results = run_suite(args.suite)
     lines = []
     failed = 0
     for res in results:
@@ -337,10 +301,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--algebra", required=True, help="algebra label, e.g. D5")
         p.add_argument("--format", choices=("plain", "json", *extra_formats), default="plain")
 
-    def store(p):
-        p.add_argument("--cache", dest="cache_path", default=None,
-                       help=f"persistent multiplicity cache (or ${ENV_CACHE})")
-
     p = command("gch", _run_gch, "graded character of a generalized KR module")
     common(p, "latex")
     p.add_argument("--weight", required=True, help="fundamental coordinates, e.g. 0,0,2,0,0")
@@ -363,7 +323,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("tensor", _run_tensor, "tensor product decomposition")
     common(p, "latex")
-    store(p)
+    p.add_argument("--cache", dest="cache_path", default=None,
+                   help=f"persistent multiplicity cache (or ${ENV_CACHE})")
     p.add_argument("--weight", action="append", required=True,
                    help="give twice: the two dominant factors")
 
@@ -374,7 +335,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("verify", _run_verify, "run a verification suite")
     p.add_argument("--suite", choices=("paper", "identities", "all"), default="all")
-    store(p)
 
     return parser
 

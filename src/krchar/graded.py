@@ -196,20 +196,21 @@ _gch_n0_cache = register_cache(BoundedCache())
 
 
 def _gch_recursive_base0(rs: RootSystem, ms: ModuleSpec, mu: Weight,
-                         psi: PsiSet, ell: int, mode: str) -> GradedChar:
-    """Recursive graded character based at (mu, 0) over gamma_psi(mu, 0)."""
-    key = (rs.lie_type, ms.components, mu, psi, ell, mode)
+                         psi: PsiSet, mode: str) -> GradedChar:
+    """Recursive graded character based at (mu, 0) over gamma_psi(mu, 0),
+    graded by the ms.ell layers of ms."""
+    key = (rs.lie_type, ms.components, mu, psi, mode)
     hit = _gch_n0_cache.get(key)
     if hit is not None:
         return hit
-    base = LambdaPoint(mu, (0,) * ell)
-    gamma = gamma_psi(rs, psi, base, ell)
+    base = LambdaPoint(mu, (0,) * ms.ell)
+    gamma = gamma_psi(rs, psi, base, ms.ell)
     out = GradedChar({base: 1})
     for (nu, s), coeff in _column(rs, ms, gamma, base, c_coefficient).items():
         if (nu, s) == base:
             continue
         inner_psi = psi if mode == "fixed-psi" else psi_lambda(rs, nu)
-        inner = _gch_recursive_base0(rs, ms, nu, inner_psi, ell, mode)
+        inner = _gch_recursive_base0(rs, ms, nu, inner_psi, mode)
         sign = -1 if deg(s) % 2 else 1
         out = out - (sign * coeff) * inner.shift(s)
     _gch_n0_cache.put(key, out)
@@ -231,9 +232,8 @@ def gch_P_recursive(rs: RootSystem, ms: ModuleSpec, base: LambdaPoint,
     base = LambdaPoint(tuple(base.weight), tuple(base.degree))
     if base != gamma.points[0]:
         raise ValueError("the recursive route starts at the minimum of gamma")
-    result = _gch_recursive_base0(
-        rs, ms, base.weight, gamma.psi, gamma.ell, mode
-    )
+    _require_lengths(rs, ms.ell, base)  # gamma is graded like ms
+    result = _gch_recursive_base0(rs, ms, base.weight, gamma.psi, mode)
     if any(base.degree):
         result = result.shift(base.degree)
     return result

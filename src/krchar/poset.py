@@ -212,7 +212,7 @@ def covers(rs: RootSystem, ms: ModuleSpec, a: LambdaPoint, b: LambdaPoint) -> bo
     if deg(diff) > 1:
         return False  # layers above total degree one vanish
     j = diff.index(1)
-    layer = component_char(rs, ms, j)
+    layer = component_char(rs, ms.components[j])
     return sub_weights(b.weight, a.weight) in layer.entries
 
 
@@ -251,11 +251,6 @@ class GammaSet:
 
     def __contains__(self, point):
         return point in self.index_of
-
-    def __eq__(self, other):
-        return (isinstance(other, GammaSet)
-                and self.base == other.base
-                and self.points == other.points)
 
     def __repr__(self):
         return f"GammaSet(base={self.base}, size={len(self.points)})"

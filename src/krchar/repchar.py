@@ -455,9 +455,9 @@ _power_iso_cache = register_cache(BoundedCache())
 _coeff_cache = register_cache(BoundedCache())
 
 
-def component_char(rs: RootSystem, ms: ModuleSpec, j: int) -> WeightChar:
-    """Character of the j-th degree-one layer (0-based)."""
-    comp = ms.components[j]
+def component_char(rs: RootSystem, comp: tuple[Weight, ...]) -> WeightChar:
+    """Character of one degree-one layer, given as its tuple of highest
+    weights (an entry of ``ModuleSpec.components``)."""
     key = (rs.lie_type, comp)
     hit = _component_char_cache.get(key)
     if hit is None:
@@ -484,7 +484,7 @@ def _fold(rs: RootSystem, kind: str, factors: tuple, lam: Weight) -> Mapping[Wei
     if out is not None:
         return out
     *rest, (comp, d) = factors
-    layer = component_char(rs, ModuleSpec((comp,)), 0).entries
+    layer = component_char(rs, comp).entries
     total: dict[Weight, int] = {}
     for j in range(1, d + 1):
         sign = -1 if kind == "ext" and j % 2 == 0 else 1

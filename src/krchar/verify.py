@@ -252,62 +252,52 @@ def check_ell_dependence() -> CheckResult:
 
 # -- identity checks ----------------------------------------------------------------
 
-def check_ae_identity() -> CheckResult:
-    name = "ae-identity"
+def _over_acceptance_matrix(name: str, unit: str, case) -> CheckResult:
+    """Run ``case(rs, ms, base, gamma) -> (ok, detail)`` on the KR gamma set of
+    every acceptance-matrix triple, stopping at the first failure.
+    ``acceptance_matrix`` is looked up on each call, so a rebinding of the
+    module attribute takes effect."""
     count = 0
     for rs, lam, ell in acceptance_matrix():
-        ms = ModuleSpec.adjoint(rs, ell)
         base, gamma = _kr_gamma(rs, lam, ell)
-        ok, detail = verify_AE_identity(rs, ms, gamma)
+        ok, detail = case(rs, ModuleSpec.adjoint(rs, ell), base, gamma)
         if not ok:
-            return _fail(name, f"{rs.lie_type}, lam={lam}, ell={ell}: {detail}")
+            where = f"{rs.lie_type}, lam={lam}, ell={ell}"
+            return _fail(name, f"{where}: {detail}" if detail else where)
         count += 1
-    return _ok(name, f"{count} gamma sets")
+    return _ok(name, f"{count} {unit}")
+
+
+def check_ae_identity() -> CheckResult:
+    return _over_acceptance_matrix(
+        "ae-identity", "gamma sets",
+        lambda rs, ms, base, gamma: verify_AE_identity(rs, ms, gamma),
+    )
 
 
 def check_cross_path() -> CheckResult:
-    name = "cross-path-direct-vs-recursive"
-    count = 0
-    for rs, lam, ell in acceptance_matrix():
-        ms = ModuleSpec.adjoint(rs, ell)
-        base, gamma = _kr_gamma(rs, lam, ell)
-        direct = gch_P_direct(rs, ms, base, gamma)
-        recursive = gch_P_recursive(rs, ms, base, gamma)
-        if direct != recursive:
-            return _fail(name, f"{rs.lie_type}, lam={lam}, ell={ell}")
-        count += 1
-    return _ok(name, f"{count} gamma sets")
+    return _over_acceptance_matrix(
+        "cross-path-direct-vs-recursive", "gamma sets",
+        lambda rs, ms, base, gamma: (
+            gch_P_direct(rs, ms, base, gamma) == gch_P_recursive(rs, ms, base, gamma),
+            None,
+        ),
+    )
 
 
 def check_alternating_sum() -> CheckResult:
-    name = "alternating-sum"
-    count = 0
-    for rs, lam, ell in acceptance_matrix():
-        ms = ModuleSpec.adjoint(rs, ell)
-        base, gamma = _kr_gamma(rs, lam, ell)
-        ok, detail = verify_alternating_sum(rs, ms, base, gamma)
-        if not ok:
-            return _fail(name, f"{rs.lie_type}, lam={lam}, ell={ell}: {detail}")
-        count += 1
-    return _ok(name, f"{count} gamma sets")
+    return _over_acceptance_matrix("alternating-sum", "gamma sets", verify_alternating_sum)
 
 
 def check_mode_agreement() -> CheckResult:
-    name = "mode-agreement"
-    count = 0
-    for rs, lam, ell in acceptance_matrix():
-        base, gamma = _kr_gamma(rs, lam, ell)
-        ms = ModuleSpec.adjoint(rs, ell)
+    def agree(rs, ms, base, gamma):
         per_weight = gch_P_recursive(rs, ms, base, gamma, mode="per-weight-psi")
-        if gch_N(rs, lam, ell) != per_weight:
-            node = i_lambda(rs, lam)
-            return _fail(
-                name,
-                f"{rs.lie_type}, lam={lam}, ell={ell}: fixed psi_{node} gamma "
-                f"disagrees with the per-weight gamma family",
-            )
-        count += 1
-    return _ok(name, f"{count} characters")
+        if gch_N(rs, base.weight, gamma.ell) == per_weight:
+            return True, None
+        node = i_lambda(rs, base.weight)
+        return False, f"fixed psi_{node} gamma disagrees with the per-weight gamma family"
+
+    return _over_acceptance_matrix("mode-agreement", "characters", agree)
 
 
 def check_tensor_vs_product_rank2() -> CheckResult:

@@ -78,3 +78,29 @@ def test_formula_suite_report_deterministic_and_complete(capsys):
     assert first == second
     for check in verify.FORMULA_CHECKS:
         assert check().name in first
+
+
+def test_matrix_checks_report_the_failing_triple(monkeypatch):
+    # The four matrix checks read acceptance_matrix when called (the
+    # benchmark rebinds it) and name the first failing triple.
+    from krchar.graded import GradedChar
+    from krchar.rootsys import build_root_system
+
+    d4 = build_root_system("D4")
+    monkeypatch.setattr(verify, "acceptance_matrix", lambda: iter([(d4, (1, 0, 0, 0), 1)]))
+    assert verify.check_ae_identity().detail == "1 gamma sets"
+    monkeypatch.setattr(verify, "verify_AE_identity", lambda rs, ms, gamma: (False, "entry X"))
+    monkeypatch.setattr(verify, "verify_alternating_sum",
+                        lambda rs, ms, base, gamma: (False, "mismatch Y"))
+    monkeypatch.setattr(verify, "gch_P_recursive", lambda *args, **kwargs: GradedChar({}))
+    where = "D4, lam=(1, 0, 0, 0), ell=1"
+    assert [(r.name, r.ok, r.detail) for r in (
+        verify.check_ae_identity(), verify.check_cross_path(),
+        verify.check_alternating_sum(), verify.check_mode_agreement(),
+    )] == [
+        ("ae-identity", False, f"{where}: entry X"),
+        ("cross-path-direct-vs-recursive", False, where),
+        ("alternating-sum", False, f"{where}: mismatch Y"),
+        ("mode-agreement", False,
+         f"{where}: fixed psi_1 gamma disagrees with the per-weight gamma family"),
+    ]

@@ -9,21 +9,18 @@ import pytest
 
 from krchar.cli import (
     InputError,
-    gamma_from_json,
     gamma_to_json,
-    graded_from_json,
     graded_latex,
     graded_to_json,
-    iso_from_json,
     iso_to_json,
     main,
     parse_coords,
     parse_point,
 )
-from krchar.graded import gch_N
-from krchar.poset import LambdaPoint, checked_psi, gamma_psi, i_lambda, psi_i
-from krchar.repchar import clear_memo_caches, tensor_decompose
-from krchar.rootsys import build_root_system, omega_weight
+from krchar.graded import GradedChar, gch_N
+from krchar.poset import GammaSet, LambdaPoint, gamma_psi, i_lambda, psi_i
+from krchar.repchar import IsoChar, clear_memo_caches, tensor_decompose
+from krchar.rootsys import build_root_system, omega_weight, parse_lie_type
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -397,16 +394,23 @@ def test_verify_raising_check_fails_and_suite_goes_on(monkeypatch, capsys):
 
 
 # -- JSON round trips over the shared matrix -----------------------------------------
+# No command reads a document back; each test rebuilds the object from the
+# document to check that the writer loses nothing.
+
+def _json(doc: dict) -> dict:
+    return json.loads(json.dumps(doc))
+
 
 def test_graded_json_round_trip_full_matrix():
     from krchar.verify import acceptance_matrix
 
     for rs, lam, ell in acceptance_matrix():
         g = gch_N(rs, lam, ell)
-        algebra, ell2, back = graded_from_json(
-            json.loads(json.dumps(graded_to_json(rs.lie_type, ell, g)))
-        )
-        assert (algebra, ell2, back) == (rs.lie_type, ell, g)
+        doc = _json(graded_to_json(rs.lie_type, ell, g))
+        back = GradedChar({
+            (tuple(e["weight"]), tuple(e["degree"])): e["mult"] for e in doc["entries"]
+        })
+        assert (parse_lie_type(doc["algebra"]), doc["ell"], back) == (rs.lie_type, ell, g)
 
 
 def test_gamma_json_round_trip_full_matrix():
@@ -415,58 +419,25 @@ def test_gamma_json_round_trip_full_matrix():
     for rs, lam, ell in acceptance_matrix():
         psi = psi_i(rs, i_lambda(rs, lam))
         gamma = gamma_psi(rs, psi, LambdaPoint(lam, (0,) * ell), ell)
-        algebra, back = gamma_from_json(
-            json.loads(json.dumps(gamma_to_json(rs.lie_type, gamma)))
+        doc = _json(gamma_to_json(rs.lie_type, gamma))
+        points = [LambdaPoint(tuple(p["weight"]), tuple(p["degree"])) for p in doc["points"]]
+        back = GammaSet(
+            LambdaPoint(tuple(doc["base"]["weight"]), tuple(doc["base"]["degree"])),
+            frozenset(tuple(w) for w in doc["psi"]),
+            tuple(points),
+            {p.weight: e["d"] for p, e in zip(points, doc["points"])},
         )
-        assert algebra == rs.lie_type
-        assert back == gamma
-        assert back.d_of == gamma.d_of
-
-
-def test_gamma_from_json_returns_a_checked_psi_set():
-    rs = build_root_system("D4")
-    gamma = gamma_psi(rs, psi_i(rs, 2), LambdaPoint((0, 1, 0, 0), (0, 0)), 2)
-    doc = json.loads(json.dumps(gamma_to_json(rs.lie_type, gamma)))
-    _, back = gamma_from_json(doc)
-    assert back.psi == psi_i(rs, 2)
-    assert checked_psi(rs, back.psi) is back.psi
-    assert back == gamma and back.d_of == gamma.d_of
-
-
-def _d5_2omega3_doc():
-    rs = build_root_system("D5")
-    gamma = gamma_psi(rs, psi_i(rs, 3), LambdaPoint((0, 0, 2, 0, 0), (0, 0)), 2)
-    return json.loads(json.dumps(gamma_to_json(rs.lie_type, gamma)))
-
-
-def test_gamma_from_json_rejects_a_missing_point():
-    doc = _d5_2omega3_doc()
-    del doc["points"][1]
-    with pytest.raises(ValueError, match="differ from the enumeration"):
-        gamma_from_json(doc)
-
-
-def test_gamma_from_json_rejects_an_edited_distance():
-    doc = _d5_2omega3_doc()
-    doc["points"][1]["d"] = 9
-    with pytest.raises(ValueError, match="differ from the enumeration"):
-        gamma_from_json(doc)
-
-
-def test_gamma_from_json_rejects_a_tampered_psi():
-    rs = build_root_system("D4")
-    gamma = gamma_psi(rs, psi_i(rs, 2), LambdaPoint((0, 1, 0, 0), (0,)), 1)
-    doc = json.loads(json.dumps(gamma_to_json(rs.lie_type, gamma)))
-    doc["psi"] = [[2, -1, 0, 0]]  # -alpha_1 in place of -theta
-    with pytest.raises(ValueError):
-        gamma_from_json(doc)
+        assert (parse_lie_type(doc["algebra"]), doc["ell"]) == (rs.lie_type, ell)
+        assert (back.base, back.psi, back.points, back.d_of) == \
+            (gamma.base, gamma.psi, gamma.points, gamma.d_of)
 
 
 def test_iso_json_round_trip():
     rs = build_root_system("D4")
     iso = tensor_decompose(rs, omega_weight(4, (2, 1)), omega_weight(4, (2, 1)))
-    algebra, back = iso_from_json(json.loads(json.dumps(iso_to_json(rs.lie_type, iso))))
-    assert algebra == rs.lie_type and back == iso
+    doc = _json(iso_to_json(rs.lie_type, iso))
+    back = IsoChar({tuple(e["weight"]): e["mult"] for e in doc["entries"]})
+    assert (parse_lie_type(doc["algebra"]), back) == (rs.lie_type, iso)
 
 
 def test_latex_multiplicity_prefix():
@@ -493,9 +464,10 @@ def test_tensor_json(capsys):
     ["ext", "--algebra", "D4", "--from", "0,1,0,0@0", "--to", "0,0,0,0@1", "--j", "1"],
     ["gamma", "--algebra", "D4", "--weight", "0,2,0,0"],
     ["psi", "--algebra", "D4", "--node", "2"],
-], ids=["gch", "ext", "gamma", "psi"])
+    ["verify", "--suite", "paper"],
+], ids=["gch", "ext", "gamma", "psi", "verify"])
 def test_command_leaves_no_store_behind(argv, tmp_path, monkeypatch, capsys):
-    # Only tensor and verify read tensor decompositions, so only they touch
+    # Only tensor serves decompositions from the store, so only it touches
     # the store; the other commands must neither load nor write it.
     path = tmp_path / "absent.cache"
     monkeypatch.setenv("KRCHAR_CACHE", str(path))
@@ -542,6 +514,34 @@ def _cold_run(capsys, argv):
 
 def _tensor_run(capsys, *extra):
     return _cold_run(capsys, _TENSOR + list(extra))
+
+
+# A2 omega_2 (x) omega_1 is V(1,1) + V(0,0); this line keeps the dimension 9,
+# so it passes the store's line check.
+_EDITED_A2_STORE = ('{"format": "krchar-tensor-store", "version": 1}\n'
+                    '["A",2,[0,1],[1,0],[[[0,0],3],[[2,0],1]]]\n')
+
+
+def test_verify_neither_reads_nor_rewrites_the_store(tmp_path, monkeypatch, capsys):
+    import krchar.verify as verify_mod
+
+    path = tmp_path / "edited.cache"
+    path.write_text(_EDITED_A2_STORE)
+    data = path.read_bytes()
+    monkeypatch.setenv("KRCHAR_CACHE", str(path))
+    monkeypatch.setitem(verify_mod.SUITES, "identities",
+                        [verify_mod.check_tensor_vs_product_rank2])
+    code, out, err = _cold_run(capsys, ["verify", "--suite", "identities"])
+    assert (code, err) == (0, "")
+    assert out.endswith("1/1 checks passed\n")
+    assert path.read_bytes() == data
+
+
+def test_verify_has_no_cache_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--cache", "mults.cache"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cache" in capsys.readouterr().err
 
 
 def test_store_cut_mid_line_is_recomputed(tmp_path, capsys):

@@ -365,6 +365,7 @@ def test_gch_N_validation():
     lambda: multiplicity_ell_profile(D4, (0, 1, 0, 0), (0, 0, 0, 0), 0),
     lambda: multiplicity_ell_profile(D4, (0, 1, 0, 0), (0, 0, 0, 0), 1.5),
     lambda: (weyl_dim(D4, (0, 1, 0, 0)), weyl_dim(D4, (0, 1.0, 0, 0))),
+    lambda: gch_P_recursive(D4, ModuleSpec.adjoint(D4, 1), *_gamma(D4, 2, (0, 1, 0, 0), 2)),
 ], ids=["weyl_dim", "freudenthal", "tensor-short", "tensor-long", "gch_N",
         "d_psi-lam", "d_psi-mu", "covers", "leq_psi", "dominant_conjugate-short",
         "dominant_conjugate-long", "root_coords", "integral_root_coords", "ext_dim",
@@ -373,7 +374,7 @@ def test_gch_N_validation():
         "covers-float-degree", "leq_psi-float-degree", "shift-float", "gamma_psi-ell-0",
         "gch_N-float-ell", "adjoint-float-ell", "gch_N-float-ell-after-warm",
         "freudenthal-float-after-warm", "profile-ell-0", "profile-float-ell",
-        "weyl_dim-float-after-warm"])
+        "weyl_dim-float-after-warm", "gch_P_recursive-gamma-of-other-ell"])
 def test_weights_of_the_wrong_length_are_refused(call):
     with pytest.raises(ValueError):
         call()

@@ -399,7 +399,7 @@ def test_coefficients_match_the_iso_decompose_route_on_the_acceptance_matrix():
                         ch = WeightChar({(0,) * rs.rank: 1})
                         for j, kj in enumerate(k):
                             if kj:
-                                ch = ch * power(component_char(rs, ms, j), kj)
+                                ch = ch * power(component_char(rs, ms.components[j]), kj)
                         peeled[product_key] = iso_decompose(rs, ch)
                     key = product_key + (lam,)
                     if key not in old:
@@ -431,7 +431,7 @@ def test_power_fold_matches_the_power_dp(label):
     vec, theta = omega_weight(rs.rank, (1, 1)), rs.highest_root.weight
     pairs = ((1, 1), (1, 3), (2, 2)) if rs.rank == 3 else ()
     for comp in ((theta,), (vec, theta)):
-        ch = component_char(rs, ModuleSpec((comp,)), 0)
+        ch = component_char(rs, comp)
         for nu in ((0,) * rs.rank, _seeded_dominant(rs, rng)):
             for kind in ("sym", "ext"):
                 for d in range(5):
