@@ -5,7 +5,6 @@ cross-checking each other."""
 from .graded import (
     GradedChar,
     MonomialMatrix,
-    expand_to_weights,
     ext_dim,
     gch_N,
     gch_P_direct,
@@ -74,7 +73,7 @@ __all__ = [
     "build_root_system", "c_coefficient", "cache_load", "cache_store",
     "check_polytope_condition", "check_psi_extra", "checked_psi",
     "clear_memo_caches", "covers", "d_psi", "dominant_conjugate",
-    "dominant_multiplicities", "expand_to_weights", "ext_dim", "ext_power",
+    "dominant_multiplicities", "ext_dim", "ext_power",
     "freudenthal", "gamma_psi", "gch_N", "gch_P_direct", "gch_P_recursive",
     "i_lambda", "integral_root_coords", "iso_decompose", "leq_psi",
     "matrix_A", "matrix_E", "multiplicity_ell_profile", "omega_weight",

@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from . import cache as cache_io
@@ -34,18 +35,29 @@ class InputError(ValueError):
 
 # -- input parsing ---------------------------------------------------------------
 
+# An optional '-' then ASCII digits: int() alone also takes '1_0', '+1'
+# and non-ASCII digits.
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
 def parse_coords(text: str, kind: str = "weight") -> tuple[int, ...]:
     """Parse a comma-separated integer vector, naming bad tokens by position."""
     out = []
     for pos, token in enumerate(text.split(","), 1):
         stripped = token.strip()
-        try:
-            out.append(int(stripped))
-        except ValueError:
+        if not _INTEGER.fullmatch(stripped):
             raise InputError(
                 f"invalid {kind} coordinate {token!r} at position {pos} in {text!r}"
-            ) from None
+            )
+        out.append(int(stripped))
     return tuple(out)
+
+
+def _integer(text: str) -> int:
+    """argparse type of the integer options, as strict as a coordinate."""
+    if not _INTEGER.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
 
 
 def parse_point(text: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -304,21 +316,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("gch", _run_gch, "graded character of a generalized KR module")
     common(p, "latex")
     p.add_argument("--weight", required=True, help="fundamental coordinates, e.g. 0,0,2,0,0")
-    p.add_argument("--ell", type=int, default=1, help="number of grading variables")
+    p.add_argument("--ell", type=_integer, default=1, help="number of grading variables")
 
     p = command("ext", _run_ext, "Ext dimension between two graded simples")
     common(p)
     p.add_argument("--from", dest="source", required=True, metavar="W@D",
                    help="source point, e.g. 0,0,2,0,0@0,0")
     p.add_argument("--to", dest="target", required=True, metavar="W@D")
-    p.add_argument("--j", type=int, required=True, help="cohomological degree")
+    p.add_argument("--j", type=_integer, required=True, help="cohomological degree")
 
     p = command("gamma", _run_gamma, "enumerate the convex up-set above a point")
     common(p)
     p.add_argument("--weight", required=True)
-    p.add_argument("--ell", type=int, default=1)
+    p.add_argument("--ell", type=_integer, default=1)
     p.add_argument("--degree", default=None, help="base multidegree (default all zero)")
-    p.add_argument("--node", type=int, default=None,
+    p.add_argument("--node", type=_integer, default=None,
                    help="psi node override (default: largest non-spin support node)")
 
     p = command("tensor", _run_tensor, "tensor product decomposition")
@@ -330,7 +342,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("psi", _run_psi, "psi set of a node or of a dominant weight")
     common(p)
-    p.add_argument("--node", type=int, default=None)
+    p.add_argument("--node", type=_integer, default=None)
     p.add_argument("--weight", default=None)
 
     p = command("verify", _run_verify, "run a verification suite")

@@ -54,11 +54,11 @@ def parse_lie_type(text: str) -> LieType:
     label = text.strip()
     if not label or label[0].upper() not in _MIN_RANK:
         raise ValueError(f"unsupported algebra {text!r}: expected A/B/C/D followed by the rank")
-    try:
-        rank = int(label[1:])
-    except ValueError:
-        raise ValueError(f"invalid rank {label[1:]!r} in algebra label {text!r}") from None
-    t = LieType(label[0].upper(), rank)
+    rank = label[1:]
+    # ASCII digits only: int() also takes '+2', ' 5' and non-ASCII digits.
+    if not (rank.isascii() and rank.isdigit()):
+        raise ValueError(f"invalid rank {rank!r} in algebra label {text!r}")
+    t = LieType(label[0].upper(), int(rank))
     validate_lie_type(t)
     return t
 

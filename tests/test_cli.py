@@ -37,12 +37,21 @@ def test_parse_coords_names_token_and_position():
         parse_coords("0,0,x,0")
     assert "'x'" in str(err.value)
     assert "position 3" in str(err.value)
+    # Only an optional '-' then ASCII digits: int() alone would take these.
+    for token in ("1_0", "+1", "\u0665"):
+        with pytest.raises(InputError) as err:
+            parse_coords(f"0,{token}")
+        assert str(err.value) == (
+            f"invalid weight coordinate {token!r} at position 2 in {'0,' + token!r}"
+        )
 
 
 def test_parse_point():
     assert parse_point("0,0,2,0,0@0,1") == ((0, 0, 2, 0, 0), (0, 1))
     with pytest.raises(InputError):
         parse_point("0,0,2,0,0")
+    with pytest.raises(InputError, match="invalid degree coordinate '1_0' at position 2"):
+        parse_point("0,0,2,0,0@0,1_0")
 
 
 # -- exit codes ---------------------------------------------------------------------
@@ -50,6 +59,27 @@ def test_parse_point():
 def test_input_error_exit_code(capsys):
     assert main(["gch", "--algebra", "D5", "--weight", "0,0,x,0,0"]) == 2
     assert "position 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["tensor", "--algebra", "A2", "--weight", "1_0,0", "--weight", "0,1"],
+    ["tensor", "--algebra", "A+2", "--weight", "1,0", "--weight", "0,1"],
+    ["tensor", "--algebra", "D 5", "--weight", "1,0,0,0,0", "--weight", "1,0,0,0,0"],
+    ["gch", "--algebra", "D\u0665", "--weight", "0,0,2,0,0"],
+    ["gch", "--algebra", "D5", "--weight", "0,0,2,0,0", "--ell", "1_0"],
+    ["gamma", "--algebra", "D4", "--weight", "0,1,0,0", "--node", "+2"],
+    ["ext", "--algebra", "D4", "--from", "0,1,0,0@0", "--to", "0,0,0,0@1", "--j", "\u0661"],
+])
+def test_non_decimal_integers_exit_2(argv, capsys):
+    # int() reads '1_0' as 10, '+2' as 2 and Arabic-Indic digits as digits;
+    # the CLI takes an optional '-' then ASCII digits only.
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse refuses the integer options
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert "invalid" in err
 
 
 def test_rank_mismatch_exit_code(capsys):

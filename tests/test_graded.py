@@ -4,7 +4,6 @@ import pytest
 
 from krchar.graded import (
     GradedChar,
-    expand_to_weights,
     ext_dim,
     gch_N,
     gch_P_direct,
@@ -16,7 +15,7 @@ from krchar.graded import (
     verify_AE_identity,
     verify_alternating_sum,
 )
-from krchar import graded
+from krchar import graded, verify
 from krchar.poset import (
     LambdaPoint,
     compositions,
@@ -203,15 +202,19 @@ def test_ae_identity_names_a_wrong_entry(monkeypatch):
     assert detail == f"entry ({below}, {base}) = {{{gap}: 1}}"
 
 
-def test_alternating_sum_fails_on_a_wrong_ext_coefficient(monkeypatch):
+@pytest.mark.parametrize("name,value", [("c_coefficient", -1), ("sym_coefficient", 1)],
+                         ids=["c_coefficient", "sym_coefficient"])
+def test_alternating_sum_fails_on_a_wrong_ext_coefficient(monkeypatch, name, value):
+    # The sum is compared in the basis of simple characters, so one wrong
+    # coefficient is reported at the point it was wrong at.
     ms = ModuleSpec.adjoint(D4, 2)
     base, gamma = _gamma(D4, 2, omega_weight(4, (2, 2)), 2)
     above = gamma.points[1]
     assert c_coefficient(D4, ms, base.weight, above.weight, above.degree)
-    _add_one_at(monkeypatch, "c_coefficient", (base.weight, above.weight, above.degree))
+    _add_one_at(monkeypatch, name, (base.weight, above.weight, above.degree))
     ok, detail = verify_alternating_sum(D4, ms, base, gamma)
     assert not ok
-    assert detail.startswith("first mismatch at weight")
+    assert detail == f"first mismatch at weight (0, 1, 0, 0) degree (0, 1): {value}"
 
 
 # -- direct and recursive characters -------------------------------------------------
@@ -424,15 +427,6 @@ def test_specialize_degree_counts_compositions():
         assert g.entries[(omega_weight(4, (2, m - k)), (k,))] == k + 1
 
 
-def test_expand_to_weights():
-    g = GradedChar({((0, 0, 0, 0), (0,)): 1})
-    assert expand_to_weights(D4, g) == {((0, 0, 0, 0), (0,)): 1}
-    ga = GradedChar({((2,), (1,)): 1})
-    assert expand_to_weights(A1, ga) == {
-        ((2,), (1,)): 1, ((0,), (1,)): 1, ((-2,), (1,)): 1,
-    }
-
-
 # -- alternating sum -----------------------------------------------------------------
 
 def test_alternating_sum_singleton():
@@ -480,22 +474,19 @@ def test_gch_cross_path_on_fundamental_pairs():
     ("C3", ((1, 2),)),        # node 1 is already non-trivial in type C
     ("A3", ((2, 2),)),        # no coefficient-2 roots: singleton gamma
 ])
-def test_identity_stack_on_b_c_a_types(label, lam_terms):
+def test_identity_stack_on_b_c_a_types(monkeypatch, label, lam_terms):
+    # The four matrix checks of verify, run on this case at ell = 1, 2.
     rs = build_root_system(label)
     lam = omega_weight(rs.rank, *lam_terms)
-    psi = psi_i(rs, i_lambda(rs, lam))
-    for ell in (1, 2):
-        ms = ModuleSpec.adjoint(rs, ell)
-        base = LambdaPoint(lam, (0,) * ell)
-        gamma = gamma_psi(rs, psi, base, ell)
-        assert gch_P_direct(rs, ms, base, gamma) == gch_P_recursive(rs, ms, base, gamma)
-        ok, detail = verify_AE_identity(rs, ms, gamma)
-        assert ok, detail
-        ok, detail = verify_alternating_sum(rs, ms, base, gamma)
-        assert ok, detail
-        assert gch_N(rs, lam, ell) == _per_weight_recursion(rs, lam, ell)
+    monkeypatch.setattr(verify, "acceptance_matrix", lambda: iter([(rs, lam, 1), (rs, lam, 2)]))
+    for check in (verify.check_ae_identity, verify.check_cross_path,
+                  verify.check_alternating_sum, verify.check_mode_agreement):
+        result = check()
+        assert result.ok, result.detail
+        assert result.detail.startswith("2 "), result.detail
     if label == "A3":
-        assert len(gamma) == 1
+        base = LambdaPoint(lam, (0, 0))
+        assert len(gamma_psi(rs, psi_i(rs, i_lambda(rs, lam)), base, 2)) == 1
 
 
 # -- ell profiles -----------------------------------------------------------------------

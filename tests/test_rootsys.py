@@ -160,6 +160,11 @@ def test_invalid_ranks_rejected():
             build_root_system(label)
     with pytest.raises(ValueError):
         parse_lie_type("Dx")
+    # The rank is ASCII digits only: int() would read these as A2, D5, D5.
+    for label, rank in (("A+2", "+2"), ("D 5", " 5"), ("D\u0665", "\u0665")):
+        with pytest.raises(ValueError) as err:
+            parse_lie_type(label)
+        assert str(err.value) == f"invalid rank {rank!r} in algebra label {label!r}"
 
 
 def test_spin_nodes():
