@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Mapping
 
 from .rootsys import (
@@ -175,15 +175,37 @@ class IsoChar(SparseChar):
         return sum(m * weyl_dim(rs, mu) for mu, m in self.entries.items())
 
 
-@dataclass(frozen=True)
 class ModuleSpec:
     """Degree-one layers V_1, ..., V_ell of the graded algebra, each given as
-    a multiset of dominant highest weights."""
+    a multiset of dominant highest weights.
 
-    components: tuple[tuple[Weight, ...], ...]
+    Immutable; equal to another ModuleSpec, and hashed, by its components.
+    Not a dataclass: ``dataclasses`` imports ``inspect``, and the two add
+    start-up time and memory to every cold process.
+    """
 
-    def __post_init__(self):
-        require_ell(len(self.components))
+    __slots__ = ("components",)
+
+    def __init__(self, components: tuple[tuple[Weight, ...], ...]):
+        require_ell(len(components))
+        object.__setattr__(self, "components", components)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable ModuleSpec")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable ModuleSpec")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.components == other.components
+
+    def __hash__(self):
+        return hash((self.components,))
+
+    def __repr__(self):
+        return f"ModuleSpec(components={self.components!r})"
 
     @property
     def ell(self) -> int:
@@ -317,19 +339,36 @@ def _racah_speiser(rs: RootSystem, ch: WeightChar, start: Mapping) -> dict[Weigh
     Weyl-invariant character ch and N = sum of k V(lam) over start = {lam: k}.
 
     Each weight w of ch contributes k times its multiplicity to V(mu), where
-    mu + rho is the dominant conjugate of lam + w + rho, with the sign of the
-    reflections taken; shifted weights on a chamber wall contribute nothing.
+    mu + rho is the dominant conjugate of lam + w + rho, with the sign
+    (-1)^(number of reflections).  A shifted weight with a zero coordinate is
+    fixed by that simple reflection, and lying on a wall is W-invariant, so
+    such a term contributes nothing: the descent leaves at the first wall,
+    checked before it starts and after every reflection.
     """
-    out: dict[Weight, int] = {}
+    rows = rs.cartan_rows
+    weights = ch.entries.items()
+    out: dict[tuple[int, ...], int] = {}  # keyed by mu + rho
     for lam, k in start.items():
-        for w, m in ch.entries.items():
-            target = tuple(b + x + 1 for b, x in zip(lam, w))
-            dom, parity = _descend(rs, target)
-            if 0 in dom:
+        shifted = [c + 1 for c in lam]
+        for w, m in weights:
+            x = list(map(operator.add, shifted, w))
+            if 0 in x:
                 continue
-            mu = tuple(c - 1 for c in dom)
-            out[mu] = out.get(mu, 0) + parity * m * k
-    return {mu: v for mu, v in out.items() if v}
+            sign = m * k
+            while True:
+                for i, c in enumerate(x):
+                    if c < 0:
+                        break
+                else:
+                    key = tuple(x)
+                    out[key] = out.get(key, 0) + sign
+                    break
+                for j, a in rows[i]:
+                    x[j] -= c * a
+                if 0 in x:
+                    break
+                sign = -sign
+    return {tuple(c - 1 for c in key): v for key, v in out.items() if v}
 
 
 def tensor_decompose(rs: RootSystem, lam, nu) -> IsoChar:

@@ -3,7 +3,8 @@
 Weights are plain integer tuples in the fundamental-weight basis throughout:
 ``xi[i]`` is the coefficient of the (i+1)-th fundamental weight in Bourbaki
 node numbering.  Root coordinates (coefficients on the simple roots) are
-recovered on demand by an exact rational solve.  No floating point is used
+recovered on demand by an exact rational solve, or in integers when only
+root-lattice coordinates are wanted.  No floating point is used
 anywhere; the bilinear form is normalised so that short roots have squared
 length 2.  :func:`dominant_weights_below` is the one enumeration of the
 dominant weights of a simple module: the Freudenthal multiplicities and the
@@ -14,7 +15,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
+from math import lcm, prod
+from operator import mul
 from typing import NamedTuple
 
 Weight = tuple[int, ...]
@@ -132,6 +134,11 @@ class RootSystem:
         n = lie_type.rank
         self.rank = n
         self.cartan = _cartan_matrix(lie_type)
+        # (j, cartan[i][j]) for the nonzero entries of row i: the coordinates
+        # a simple reflection s_i changes.
+        self.cartan_rows = tuple(
+            tuple((j, a) for j, a in enumerate(row) if a) for row in self.cartan
+        )
         self.half_lengths = _half_lengths(lie_type)
         self.rho: Weight = (1,) * n
         self.positive_roots = self._close_positive_roots()
@@ -152,6 +159,12 @@ class RootSystem:
             tuple(inv[i][j] * self.half_lengths[j] for j in range(n)) for i in range(n)
         )
         self._inv_cartan_t = _invert(tuple(zip(*self.cartan)))
+        # The same inverse as integers over one common denominator, so that
+        # integral_root_coords needs no Fraction arithmetic.
+        self._inv_den = lcm(*(x.denominator for row in self._inv_cartan_t for x in row))
+        self._inv_cartan_t_int = tuple(
+            tuple(int(x * self._inv_den) for x in row) for row in self._inv_cartan_t
+        )
         if lie_type.family == "B":
             self.spin_nodes = frozenset({n})
         elif lie_type.family == "D":
@@ -264,7 +277,7 @@ def _descend(rs: RootSystem, xi) -> tuple[Weight, int]:
     """
     n = rs.rank
     coords = list(xi)
-    cartan = rs.cartan
+    rows = rs.cartan_rows
     parity = 1
     moved = True
     while moved:
@@ -272,9 +285,8 @@ def _descend(rs: RootSystem, xi) -> tuple[Weight, int]:
         for i in range(n):
             ci = coords[i]
             if ci < 0:
-                row = cartan[i]
-                for j in range(n):
-                    coords[j] -= ci * row[j]
+                for j, a in rows[i]:
+                    coords[j] -= ci * a
                 parity = -parity
                 moved = True
     return tuple(coords), parity
@@ -342,11 +354,17 @@ def root_coords(rs: RootSystem, xi) -> tuple[Fraction, ...]:
 
 
 def integral_root_coords(rs: RootSystem, xi) -> tuple[int, ...] | None:
-    """Like :func:`root_coords` but None when xi is not in the root lattice."""
-    coords = root_coords(rs, xi)
-    if any(c.denominator != 1 for c in coords):
-        return None
-    return tuple(int(c) for c in coords)
+    """Like :func:`root_coords` but in integers, and None when xi is not in
+    the root lattice."""
+    xi = _require_rank(rs, xi)
+    den = rs._inv_den
+    coords = []
+    for row in rs._inv_cartan_t_int:
+        q, r = divmod(sum(map(mul, row, xi)), den)
+        if r:
+            return None
+        coords.append(q)
+    return tuple(coords)
 
 
 _weyl_dim_cache: dict[tuple[LieType, Weight], int] = {}

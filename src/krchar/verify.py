@@ -8,8 +8,7 @@ the library's advertised correctness contract.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from . import ratlp
 from .graded import (
@@ -43,8 +42,7 @@ from .rootsys import LieType, build_root_system, omega_weight, weyl_dim
 RANDOM_SEED = 20250811
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
     detail: str = ""

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -52,6 +54,19 @@ def test_parse_point():
         parse_point("0,0,2,0,0")
     with pytest.raises(InputError, match="invalid degree coordinate '1_0' at position 2"):
         parse_point("0,0,2,0,0@0,1_0")
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
+    # Both modules cost a cold process start-up time and memory, and nothing
+    # in the package needs them.
+    import krchar
+
+    src = str(Path(krchar.__file__).resolve().parent.parent)
+    probe = ("import sys, krchar.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 # -- exit codes ---------------------------------------------------------------------

@@ -29,7 +29,7 @@ from krchar.repchar import (
     tensor_decompose,
 )
 from krchar.poset import LambdaPoint, gamma_psi, psi_lambda
-from krchar.rootsys import build_root_system, omega_weight, weyl_dim
+from krchar.rootsys import _descend, build_root_system, omega_weight, weyl_dim
 from krchar.verify import acceptance_matrix
 
 A1 = build_root_system("A1")
@@ -183,6 +183,63 @@ def test_tensor_cache_counts_computations():
         assert cache.computed == 1
     finally:
         set_active_tensor_cache(previous)
+
+
+# -- the Racah-Speiser kernel -------------------------------------------------------
+
+def _racah_speiser_full_descent(rs, ch, start):
+    """Reference kernel: every shifted weight descends all the way to the
+    dominant chamber with rootsys._descend, and the wall is tested only there."""
+    out = {}
+    for lam, k in start.items():
+        for w, m in ch.entries.items():
+            target = tuple(b + x + 1 for b, x in zip(lam, w))
+            dom, parity = _descend(rs, target)
+            if 0 in dom:
+                continue
+            mu = tuple(c - 1 for c in dom)
+            out[mu] = out.get(mu, 0) + parity * m * k
+    return {mu: v for mu, v in out.items() if v}
+
+
+KERNEL_LABELS = ("A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5",
+                 "C2", "C3", "C4", "C5", "D4", "D5")
+
+
+def _adams(ch, j):
+    return WeightChar({tuple(j * c for c in w): m for w, m in ch.entries.items()})
+
+
+@pytest.mark.parametrize("label", KERNEL_LABELS)
+def test_racah_speiser_matches_the_full_descent(label):
+    # Signed characters: weight systems, their Adams operations psi^j for
+    # j <= 3 and differences of these, against weighted starts {lam: k} with
+    # k <= 3.  The results must agree entry by entry and in order; the
+    # counters make sure the cases reach a wall only after a reflection and
+    # keep terms of odd parity, which a lost wall check or sign would break.
+    rs = build_root_system(label)
+    rng = random.Random(f"racah-speiser {label}")
+    zero = (0,) * rs.rank
+    late_walls = odd_terms = 0
+    for _ in range(4):
+        lam = tuple(rng.choice((0, 0, 1, 2)) for _ in range(rs.rank))
+        base = freudenthal(rs, lam if weyl_dim(rs, lam) <= 300 else zero)
+        other = freudenthal(rs, rs.highest_root.weight)
+        chars = [base] + [_adams(base, j) for j in (2, 3)]
+        chars += [_adams(base, rng.randint(1, 3)) - _adams(other, rng.randint(1, 3))]
+        for ch in chars:
+            start = {tuple(rng.randint(0, 3) for _ in range(rs.rank)): rng.randint(1, 3)
+                     for _ in range(rng.randint(1, 3))}
+            got = _racah_speiser(rs, ch, start)
+            assert list(got.items()) == list(_racah_speiser_full_descent(rs, ch, start).items())
+            for nu in start:
+                for w in ch.entries:
+                    x = tuple(b + c + 1 for b, c in zip(nu, w))
+                    dom, parity = _descend(rs, x)
+                    late_walls += 0 not in x and 0 in dom
+                    odd_terms += 0 not in dom and parity < 0
+    # In rank one a reflection only negates the coordinate: no late wall.
+    assert odd_terms and (late_walls or rs.rank == 1)
 
 
 # -- exterior and symmetric powers -------------------------------------------------
@@ -496,6 +553,24 @@ def test_module_spec_adjoint():
     assert ms.components[0] == (omega_weight(4, (2, 1)),)
     with pytest.raises(ValueError):
         ModuleSpec.adjoint(D4, 0)
+
+
+def test_module_spec_is_an_immutable_value():
+    theta = D4.highest_root.weight
+    ms = ModuleSpec(((theta,), (theta,)))
+    assert ms == ModuleSpec.adjoint(D4, 2) and hash(ms) == hash(ModuleSpec.adjoint(D4, 2))
+    assert ms != ModuleSpec.adjoint(D4, 1)
+    assert ms != ms.components  # equality is type-strict
+    assert len({ms, ModuleSpec.adjoint(D4, 2)}) == 1
+    with pytest.raises(AttributeError):
+        ms.components = ()
+    with pytest.raises(AttributeError):
+        ms.extra = 1
+    with pytest.raises(AttributeError):
+        del ms.components
+    assert ms.ell == 2
+    with pytest.raises(ValueError, match="ell must be positive"):
+        ModuleSpec(())
 
 
 def test_clear_memo_caches_drops_weyl_dim_table():

@@ -1,6 +1,7 @@
 """Unit tests for the root-system layer, checked against an independent
 epsilon-coordinate realization of the classical root systems."""
 
+import random
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -310,6 +311,33 @@ def test_root_coords_examples():
     a1 = build_root_system("A1")
     assert root_coords(a1, (1,)) == (Fraction(1, 2),)
     assert integral_root_coords(a1, (1,)) is None
+
+
+RANK_8_LABELS = [f"{family}{n}" for family, low in (("A", 1), ("B", 2), ("C", 2), ("D", 4))
+                 for n in range(low, 9)]
+
+
+@pytest.mark.parametrize("label", RANK_8_LABELS)
+def test_integral_root_coords_match_the_fraction_solve(label):
+    # Seeded weights in the root lattice (sums of roots) and mostly outside
+    # it (random coordinates), against the Fraction coordinates of root_coords.
+    rs = build_root_system(label)
+    rng = random.Random(f"root coords {label}")
+    roots = list(rs.adjoint_coords)
+    weights = [tuple(rng.randint(-4, 4) for _ in range(rs.rank)) for _ in range(40)]
+    for _ in range(40):
+        xi = (0,) * rs.rank
+        for _ in range(rng.randint(1, 5)):
+            xi = tuple(a + b for a, b in zip(xi, rng.choice(roots)))
+        weights.append(xi)
+    seen = set()
+    for xi in weights:
+        coords = root_coords(rs, xi)
+        expected = (tuple(int(c) for c in coords)
+                    if all(c.denominator == 1 for c in coords) else None)
+        assert integral_root_coords(rs, xi) == expected, xi
+        seen.add(expected is None)
+    assert seen == {True, False}
 
 
 @pytest.mark.parametrize("label", ["A3", "B4", "C4", "D5"])
