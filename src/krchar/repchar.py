@@ -453,7 +453,9 @@ def iso_decompose(rs: RootSystem, ch: WeightChar) -> IsoChar:
     path uses it: it is the independent oracle that ``verify`` and the tests
     compare the Racah-Speiser results against.
     """
-    rho_row = tuple(sum(row) for row in rs.gram)  # (omega_i, rho)
+    # cartan_det * (omega_i, rho): a positive multiple keeps the pop order and ties.
+    rho_row = tuple(sum(d * row[i] for row, d in zip(rs.adj_cartan_t, rs.half_lengths))
+                    for i in range(rs.rank))
 
     def score(w):
         return sum(c * g for c, g in zip(w, rho_row))

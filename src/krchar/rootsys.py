@@ -3,8 +3,8 @@
 Weights are plain integer tuples in the fundamental-weight basis throughout:
 ``xi[i]`` is the coefficient of the (i+1)-th fundamental weight in Bourbaki
 node numbering.  Root coordinates (coefficients on the simple roots) are
-recovered on demand by an exact rational solve, or in integers when only
-root-lattice coordinates are wanted.  No floating point is used
+read off one integer matrix, cartan_det * C^-T, as Fractions, or in
+integers when only root-lattice coordinates are wanted.  No floating point is used
 anywhere; the bilinear form is normalised so that short roots have squared
 length 2.  :func:`dominant_weights_below` is the one enumeration of the
 dominant weights of a simple module: the Freudenthal multiplicities and the
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm, prod
+from math import prod
 from operator import mul
 from typing import NamedTuple
 
@@ -104,21 +104,27 @@ def _half_lengths(t: LieType) -> tuple[int, ...]:
     return (1,) * n
 
 
-def _invert(matrix) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact inverse of a small integer/rational matrix (Gauss-Jordan)."""
+def _adjugate(matrix) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """det A and the integer matrix det A * A^-1, by fraction-free Gauss-Jordan
+    elimination (Bareiss, Math. Comp. 22, 1968): every division is exact.  The
+    pivots are the leading principal minors, positive for a finite-type Cartan
+    matrix (its principal submatrices are of finite type), so no row is swapped."""
     n = len(matrix)
-    aug = [[Fraction(matrix[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+    rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
+    prev = 1
+    for k, top in enumerate(rows):
+        pivot = top[k]
+        if pivot <= 0:
+            raise AssertionError(f"leading principal minor {k + 1} is {pivot}, not positive")
+        for row in rows:
+            if row is not top:
+                f = row[k]
+                for j in range(2 * n):
+                    row[j], r = divmod(pivot * row[j] - f * top[j], prev)
+                    if r:
+                        raise AssertionError("inexact division in the fraction-free elimination")
+        prev = pivot
+    return prev, tuple(tuple(row[n:]) for row in rows)
 
 
 class RootSystem:
@@ -153,18 +159,9 @@ class RootSystem:
         for r in self.positive_roots:
             self.adjoint_coords[r.weight] = r.coords
             self.adjoint_coords[tuple(-c for c in r.weight)] = tuple(-c for c in r.coords)
-        # (omega_i, omega_j) = (cartan^{-1})[i][j] * d[j]; exact rationals.
-        inv = _invert(self.cartan)
-        self.gram = tuple(
-            tuple(inv[i][j] * self.half_lengths[j] for j in range(n)) for i in range(n)
-        )
-        self._inv_cartan_t = _invert(tuple(zip(*self.cartan)))
-        # The same inverse as integers over one common denominator, so that
-        # integral_root_coords needs no Fraction arithmetic.
-        self._inv_den = lcm(*(x.denominator for row in self._inv_cartan_t for x in row))
-        self._inv_cartan_t_int = tuple(
-            tuple(int(x * self._inv_den) for x in row) for row in self._inv_cartan_t
-        )
+        # cartan_det * C^-T: row i dotted with a weight is cartan_det times its
+        # i-th root coordinate.  The one inverse; no Fraction is built here.
+        self.cartan_det, self.adj_cartan_t = _adjugate(tuple(zip(*self.cartan)))
         if lie_type.family == "B":
             self.spin_nodes = frozenset({n})
         elif lie_type.family == "D":
@@ -241,13 +238,12 @@ class RootSystem:
         return len(xi) == self.rank and all(c >= 0 for c in xi)
 
     def inner(self, x, y) -> Fraction:
-        """Symmetric bilinear form on weights (short roots squared length 2)."""
-        total = Fraction(0)
-        for i, xi in enumerate(x):
-            if xi:
-                row = self.gram[i]
-                total += xi * sum(row[j] * y[j] for j in range(self.rank) if y[j])
-        return total
+        """Symmetric bilinear form on weights (short roots squared length 2):
+        (x, y) = sum_i c_i(x) d_i y_i with c(x) the root coordinates of x."""
+        x, y = _require_rank(self, x), _require_rank(self, y)
+        total = sum(sum(map(mul, row, x)) * d * c
+                    for row, d, c in zip(self.adj_cartan_t, self.half_lengths, y) if c)
+        return Fraction(total, self.cartan_det)
 
     def pair_root(self, xi, root: PositiveRoot) -> int:
         """(xi, beta) for a positive root beta; always an integer."""
@@ -346,21 +342,19 @@ def dominant_conjugate(rs: RootSystem, xi) -> tuple[Weight, int, bool]:
 
 
 def root_coords(rs: RootSystem, xi) -> tuple[Fraction, ...]:
-    """Coordinates of xi on the simple roots (exact rational solve)."""
+    """Coordinates of xi on the simple roots, as exact rationals."""
     xi = _require_rank(rs, xi)
-    inv = rs._inv_cartan_t
-    n = rs.rank
-    return tuple(sum(inv[i][j] * xi[j] for j in range(n)) for i in range(n))
+    return tuple(Fraction(sum(map(mul, row, xi)), rs.cartan_det) for row in rs.adj_cartan_t)
 
 
 def integral_root_coords(rs: RootSystem, xi) -> tuple[int, ...] | None:
     """Like :func:`root_coords` but in integers, and None when xi is not in
     the root lattice."""
     xi = _require_rank(rs, xi)
-    den = rs._inv_den
+    det = rs.cartan_det
     coords = []
-    for row in rs._inv_cartan_t_int:
-        q, r = divmod(sum(map(mul, row, xi)), den)
+    for row in rs.adj_cartan_t:
+        q, r = divmod(sum(map(mul, row, xi)), det)
         if r:
             return None
         coords.append(q)

@@ -7,8 +7,10 @@ from itertools import combinations, product
 
 import pytest
 
+from krchar import rootsys
 from krchar.rootsys import (
     LieType,
+    RootSystem,
     build_root_system,
     dominant_conjugate,
     integral_root_coords,
@@ -317,12 +319,8 @@ RANK_8_LABELS = [f"{family}{n}" for family, low in (("A", 1), ("B", 2), ("C", 2)
                  for n in range(low, 9)]
 
 
-@pytest.mark.parametrize("label", RANK_8_LABELS)
-def test_integral_root_coords_match_the_fraction_solve(label):
-    # Seeded weights in the root lattice (sums of roots) and mostly outside
-    # it (random coordinates), against the Fraction coordinates of root_coords.
-    rs = build_root_system(label)
-    rng = random.Random(f"root coords {label}")
+def _seeded_weights(rs):
+    rng = random.Random(f"root coords {rs.lie_type}")
     roots = list(rs.adjoint_coords)
     weights = [tuple(rng.randint(-4, 4) for _ in range(rs.rank)) for _ in range(40)]
     for _ in range(40):
@@ -330,14 +328,70 @@ def test_integral_root_coords_match_the_fraction_solve(label):
         for _ in range(rng.randint(1, 5)):
             xi = tuple(a + b for a, b in zip(xi, rng.choice(roots)))
         weights.append(xi)
+    return weights
+
+
+@pytest.mark.parametrize("label", RANK_8_LABELS)
+def test_integral_root_coords_match_the_fraction_solve(label):
+    # Seeded weights in the root lattice (sums of roots) and mostly outside
+    # it (random coordinates), against the Fraction coordinates of root_coords.
+    rs = build_root_system(label)
     seen = set()
-    for xi in weights:
+    for xi in _seeded_weights(rs):
         coords = root_coords(rs, xi)
         expected = (tuple(int(c) for c in coords)
                     if all(c.denominator == 1 for c in coords) else None)
         assert integral_root_coords(rs, xi) == expected, xi
         seen.add(expected is None)
     assert seen == {True, False}
+
+
+@pytest.mark.parametrize("label", RANK_8_LABELS)
+def test_root_coords_multiply_back_through_the_cartan_matrix(label):
+    # An oracle that shares no code with the inverse: sum_i c_i * cartan[i]
+    # must give xi back, for the Fraction and for the integer coordinates,
+    # on the seeded weights of the test above.
+    rs = build_root_system(label)
+
+    def back(coords):
+        return tuple(sum(c * row[j] for c, row in zip(coords, rs.cartan))
+                     for j in range(rs.rank))
+
+    for xi in _seeded_weights(rs):
+        assert back(root_coords(rs, xi)) == xi
+        coords = integral_root_coords(rs, xi)
+        if coords is not None:
+            assert back(coords) == xi
+
+
+RANK_12_LABELS = [f"{family}{n}" for family, low in (("A", 1), ("B", 2), ("C", 2), ("D", 4))
+                  for n in range(low, 13)]
+
+
+@pytest.mark.parametrize("label", RANK_12_LABELS)
+def test_the_integer_inverse_is_the_adjugate(label):
+    rs = build_root_system(label)
+    n, cartan, adj, det = rs.rank, rs.cartan, rs.adj_cartan_t, rs.cartan_det
+    assert det == {"A": n + 1, "B": 2, "C": 2, "D": 4}[rs.lie_type.family]
+    identity = tuple(tuple(det * int(i == j) for j in range(n)) for i in range(n))
+    # adj_cartan_t is adj(C)^T, so C . adj(C) = det I reads as follows.
+    assert tuple(tuple(sum(cartan[i][k] * adj[j][k] for k in range(n)) for j in range(n))
+                 for i in range(n)) == identity
+    assert rootsys._adjugate(cartan) == (det, tuple(zip(*adj)))
+
+
+def test_the_elimination_refuses_a_singular_matrix():
+    with pytest.raises(AssertionError):
+        rootsys._adjugate(((1, 1), (1, 1)))
+
+
+def test_building_a_root_system_creates_no_fraction(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a Fraction was created")
+
+    monkeypatch.setattr(rootsys, "Fraction", refuse)
+    for label in RANK_8_LABELS:
+        RootSystem(parse_lie_type(label))
 
 
 @pytest.mark.parametrize("label", ["A3", "B4", "C4", "D5"])
@@ -361,6 +415,17 @@ def test_bilinear_form_normalisation():
     for root in d5.positive_roots[:5]:
         xi = omega_weight(5, (2, 3), (4, 1))
         assert d5.inner(xi, root.weight) == d5.pair_root(xi, root)
+
+
+def test_inner_refuses_a_weight_of_the_wrong_rank_or_type():
+    d5 = build_root_system("D5")
+    assert d5.inner((0, 1, 0, 0, 0), (0, 1, 0, 0, 0)) == 2
+    with pytest.raises(ValueError, match="has 6 coordinates"):
+        d5.inner((0, 1, 0, 0, 0), (0, 1, 0, 0, 0, 7))
+    with pytest.raises(ValueError, match="has 6 coordinates"):
+        d5.inner((0, 1, 0, 0, 0, 7), (0, 1, 0, 0, 0))
+    with pytest.raises(ValueError, match="not an integer"):
+        d5.inner((0, 1.0, 0, 0, 0), (0, 1, 0, 0, 0))
 
 
 def test_root_sum_decompositions_spot():
