@@ -6,9 +6,10 @@ Weyl orbits.  One signed Racah-Speiser kernel computes every tensor product:
 two simples, and the graded Hom coefficients, which one memoised recursion
 folds into V(lam) by Newton's identity on Adams operations, so no power is
 ever built.  The power DP, the convolution of two WeightChars and
-``iso_decompose`` are kept only as independent oracles.  All intermediate
-characters may be virtual (signed); genuineness is asserted only where a
-result promises an actual module.
+``iso_decompose`` are kept only as independent oracles for the tests;
+``verify`` compares tensor products at dominant weights and peels nothing
+into simples.  All intermediate characters may be virtual (signed);
+genuineness is asserted only where a result promises an actual module.
 """
 
 from __future__ import annotations
@@ -449,9 +450,9 @@ def iso_decompose(rs: RootSystem, ch: WeightChar) -> IsoChar:
     """Write a Weyl-invariant character as a combination of simple characters.
 
     Extracts repeatedly at a maximal remaining weight; a maximal weight with
-    a negative coordinate proves the input was not Weyl-invariant.  No production
-    path uses it: it is the independent oracle that ``verify`` and the tests
-    compare the Racah-Speiser results against.
+    a negative coordinate proves the input was not Weyl-invariant.  Neither a
+    production path nor ``verify`` uses it: it is the tests' independent
+    oracle for the Racah-Speiser results.
     """
     # cartan_det * (omega_i, rho): a positive multiple keeps the pop order and ties.
     rho_row = tuple(sum(d * row[i] for row, d in zip(rs.adj_cartan_t, rs.half_lengths))

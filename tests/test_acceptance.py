@@ -49,7 +49,7 @@ def test_criterion_6_cross_path_oracle():
 
 
 def test_criterion_7_alternating_sum():
-    _run("criterion-7 alternating sum on full weight expansions",
+    _run("criterion-7 alternating sum in the basis of simple characters",
          verify.check_alternating_sum)
 
 
@@ -104,3 +104,35 @@ def test_matrix_checks_report_the_failing_triple(monkeypatch):
         ("mode-agreement", False,
          f"{where}: fixed psi_1 gamma disagrees with the per-weight gamma family"),
     ]
+
+
+def test_dominant_weight_oracle_agrees_with_the_peel_on_every_rank2_pair():
+    # The tensor check compares Weyl-invariant characters at dominant weights.
+    # On each of its pairs, its convolution must be the dominant part of the
+    # full character product, and peeling that product into simples must give
+    # the Racah-Speiser result, which was the check's earlier verdict.
+    from krchar.repchar import freudenthal, iso_decompose, tensor_decompose
+
+    count = 0
+    for label, rs, lam, nu in verify._rank2_pairs():
+        product = freudenthal(rs, lam) * freudenthal(rs, nu)
+        dominant = {w: m for w, m in product.entries.items() if rs.is_dominant(w)}
+        assert verify._dominant_product(rs, lam, nu) == dominant, (label, lam, nu)
+        assert iso_decompose(rs, product) == tensor_decompose(rs, lam, nu), (label, lam, nu)
+        count += 1
+    assert count == 418
+
+
+def test_tensor_check_catches_a_dimension_preserving_edit(monkeypatch):
+    # 3 V(0,0) + V(2,0) has the dimension 9 of the true A2 omega_2 (x) omega_1 =
+    # V(1,1) + V(0,0), so only a check of the decomposition itself sees it.
+    from krchar.repchar import IsoChar, tensor_decompose
+
+    def edited(rs, lam, nu):
+        if (str(rs.lie_type), lam, nu) == ("A2", (0, 1), (1, 0)):
+            return IsoChar({(0, 0): 3, (2, 0): 1})
+        return tensor_decompose(rs, lam, nu)
+
+    monkeypatch.setattr(verify, "tensor_decompose", edited)
+    result = verify.check_tensor_vs_product_rank2()
+    assert (result.ok, result.detail) == (False, "A2: (0, 1) (x) (1, 0)")

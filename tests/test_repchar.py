@@ -163,16 +163,6 @@ def test_tensor_dimension_conservation(label, lam, nu):
     assert iso.total_dimension(rs) == weyl_dim(rs, lam) * weyl_dim(rs, nu)
 
 
-def test_tensor_matches_character_product_spot():
-    # Brute-force oracle: decompose the pointwise product of the two
-    # characters instead of running the reflection algorithm.
-    for lam, nu in [((1, 1), (1, 1)), ((2, 0), (1, 2))]:
-        for rs in (build_root_system("A2"), build_root_system("B2")):
-            direct = tensor_decompose(rs, lam, nu)
-            oracle = iso_decompose(rs, freudenthal(rs, lam) * freudenthal(rs, nu))
-            assert direct == oracle
-
-
 def test_tensor_cache_counts_computations():
     previous = set_active_tensor_cache(TensorCache())
     try:
