@@ -12,7 +12,6 @@ from .graded import (
     matrix_A,
     matrix_E,
     multiplicity_ell_profile,
-    specialize_degree,
     verify_AE_identity,
     verify_alternating_sum,
 )
@@ -23,7 +22,6 @@ from .poset import (
     check_polytope_condition,
     check_psi_extra,
     checked_psi,
-    covers,
     d_psi,
     gamma_psi,
     i_lambda,
@@ -56,11 +54,9 @@ from .rootsys import (
     RootSystem,
     Weight,
     build_root_system,
-    dominant_conjugate,
     integral_root_coords,
     omega_weight,
     parse_lie_type,
-    root_coords,
     weyl_dim,
 )
 
@@ -72,13 +68,12 @@ __all__ = [
     "Weight", "WeightChar", "active_tensor_cache", "adjoint_char",
     "build_root_system", "c_coefficient", "cache_load", "cache_store",
     "check_polytope_condition", "check_psi_extra", "checked_psi",
-    "clear_memo_caches", "covers", "d_psi", "dominant_conjugate",
-    "dominant_multiplicities", "ext_dim", "ext_power",
-    "freudenthal", "gamma_psi", "gch_N", "gch_P_direct", "gch_P_recursive",
-    "i_lambda", "integral_root_coords", "iso_decompose", "leq_psi",
-    "matrix_A", "matrix_E", "multiplicity_ell_profile", "omega_weight",
-    "parse_lie_type", "psi_i", "psi_lambda", "psi_of_mu", "root_coords",
-    "set_active_tensor_cache", "specialize_degree", "sym_coefficient",
-    "sym_power", "tensor_decompose", "verify_AE_identity",
-    "verify_alternating_sum", "weyl_dim",
+    "clear_memo_caches", "d_psi", "dominant_multiplicities", "ext_dim",
+    "ext_power", "freudenthal", "gamma_psi", "gch_N", "gch_P_direct",
+    "gch_P_recursive", "i_lambda", "integral_root_coords", "iso_decompose",
+    "leq_psi", "matrix_A", "matrix_E", "multiplicity_ell_profile",
+    "omega_weight", "parse_lie_type", "psi_i", "psi_lambda", "psi_of_mu",
+    "set_active_tensor_cache", "sym_coefficient", "sym_power",
+    "tensor_decompose", "verify_AE_identity", "verify_alternating_sum",
+    "weyl_dim",
 ]

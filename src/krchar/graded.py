@@ -32,8 +32,6 @@ from .repchar import (
 from .rootsys import (RootSystem, Weight, _require_rank, add_weights, require_degree,
                       require_dominant, require_ell, sub_weights)
 
-Entry = tuple[Weight, MultiDegree]
-
 MODES = ("fixed-psi", "per-weight-psi")
 
 
@@ -59,15 +57,6 @@ class GradedChar(SparseChar):
 
     def __repr__(self):
         return f"GradedChar({dict(self.canonical_items())!r})"
-
-
-def specialize_degree(g: GradedChar) -> GradedChar:
-    """Collapse every multidegree to its total degree (one-variable grading)."""
-    out: dict[Entry, int] = {}
-    for (w, r), v in g.entries.items():
-        key = (w, (deg(r),))
-        out[key] = out.get(key, 0) + v
-    return GradedChar(out)
 
 
 # -- Ext dimensions and the two triangular matrices ------------------------------
@@ -115,12 +104,6 @@ class MonomialMatrix:
     @property
     def size(self) -> int:
         return len(self.points)
-
-    def entry(self, i: int, j: int) -> dict[MultiDegree, int]:
-        v = self.entries[i][j]
-        if not v:
-            return {}
-        return {sub_weights(self.points[i].degree, self.points[j].degree): v}
 
 
 def _build_matrix(rs, ms, gamma: GammaSet, coefficient) -> MonomialMatrix:

@@ -6,12 +6,7 @@ from __future__ import annotations
 
 from typing import Iterator, NamedTuple
 
-from .repchar import (
-    BoundedCache,
-    register_cache,
-    ModuleSpec,
-    component_char,
-)
+from .repchar import BoundedCache, register_cache
 from .rootsys import (
     RootSystem,
     Weight,
@@ -200,20 +195,6 @@ def _require_lengths(rs: RootSystem, ell: int, *points: LambdaPoint) -> None:
     for p in points:
         _require_rank(rs, p.weight)
         require_degree(p.degree, ell)
-
-
-def covers(rs: RootSystem, ms: ModuleSpec, a: LambdaPoint, b: LambdaPoint) -> bool:
-    """True when b sits one graded layer above a: the degrees differ by some
-    e_j and the weight difference is a weight of the j-th layer."""
-    _require_lengths(rs, ms.ell, a, b)
-    diff = sub_weights(b.degree, a.degree)
-    if any(c < 0 for c in diff) or not any(diff):
-        return False
-    if deg(diff) > 1:
-        return False  # layers above total degree one vanish
-    j = diff.index(1)
-    layer = component_char(rs, ms.components[j])
-    return sub_weights(b.weight, a.weight) in layer.entries
 
 
 def leq_psi(rs: RootSystem, psi: PsiSet, a: LambdaPoint, b: LambdaPoint) -> bool:

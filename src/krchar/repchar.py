@@ -154,9 +154,6 @@ class WeightChar(SparseChar):
 
     __rmul__ = __mul__
 
-    def dimension(self) -> int:
-        return sum(self.entries.values())
-
 
 class IsoChar(SparseChar):
     """Decomposition of a character into simple-module multiplicities."""
@@ -165,12 +162,6 @@ class IsoChar(SparseChar):
 
     def __getitem__(self, mu: Weight) -> int:
         return self.entries.get(tuple(mu), 0)
-
-    def expand(self, rs: RootSystem) -> WeightChar:
-        out = WeightChar()
-        for mu, m in self.entries.items():
-            out = out + freudenthal(rs, mu) * m
-        return out
 
     def total_dimension(self, rs: RootSystem) -> int:
         return sum(m * weyl_dim(rs, mu) for mu, m in self.entries.items())

@@ -2,18 +2,17 @@
 
 Weights are plain integer tuples in the fundamental-weight basis throughout:
 ``xi[i]`` is the coefficient of the (i+1)-th fundamental weight in Bourbaki
-node numbering.  Root coordinates (coefficients on the simple roots) are
-read off one integer matrix, cartan_det * C^-T, as Fractions, or in
-integers when only root-lattice coordinates are wanted.  No floating point is used
-anywhere; the bilinear form is normalised so that short roots have squared
-length 2.  :func:`dominant_weights_below` is the one enumeration of the
-dominant weights of a simple module: the Freudenthal multiplicities and the
-Gamma sets both start from it.
+node numbering.  Root coordinates (coefficients on the simple roots) of a
+weight in the root lattice are read off one integer matrix, cartan_det *
+C^-T.  This module uses no fraction and no floating point; the bilinear
+form is normalised so that short roots have squared length 2.
+:func:`dominant_weights_below` is the one enumeration of the dominant weights
+of a simple module: the Freudenthal multiplicities and the Gamma sets both
+start from it.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import prod
 from operator import mul
@@ -160,7 +159,7 @@ class RootSystem:
             self.adjoint_coords[r.weight] = r.coords
             self.adjoint_coords[tuple(-c for c in r.weight)] = tuple(-c for c in r.coords)
         # cartan_det * C^-T: row i dotted with a weight is cartan_det times its
-        # i-th root coordinate.  The one inverse; no Fraction is built here.
+        # i-th root coordinate.  The one inverse, kept in integers.
         self.cartan_det, self.adj_cartan_t = _adjugate(tuple(zip(*self.cartan)))
         if lie_type.family == "B":
             self.spin_nodes = frozenset({n})
@@ -230,20 +229,8 @@ class RootSystem:
     def highest_root(self) -> PositiveRoot:
         return self.positive_roots[self.highest_root_index]
 
-    def simple_root_weight(self, i: int) -> Weight:
-        """Weight coordinates of the i-th simple root (0-based index)."""
-        return tuple(self.cartan[i])
-
     def is_dominant(self, xi: Weight) -> bool:
         return len(xi) == self.rank and all(c >= 0 for c in xi)
-
-    def inner(self, x, y) -> Fraction:
-        """Symmetric bilinear form on weights (short roots squared length 2):
-        (x, y) = sum_i c_i(x) d_i y_i with c(x) the root coordinates of x."""
-        x, y = _require_rank(self, x), _require_rank(self, y)
-        total = sum(sum(map(mul, row, x)) * d * c
-                    for row, d, c in zip(self.adj_cartan_t, self.half_lengths, y) if c)
-        return Fraction(total, self.cartan_det)
 
     def pair_root(self, xi, root: PositiveRoot) -> int:
         """(xi, beta) for a positive root beta; always an integer."""
@@ -331,25 +318,9 @@ def require_ell(ell) -> int:
     return ell
 
 
-def dominant_conjugate(rs: RootSystem, xi) -> tuple[Weight, int, bool]:
-    """Unique dominant Weyl conjugate of xi with reflection parity.
-
-    The third component is True when xi lies on a chamber wall (its orbit
-    meets a coordinate hyperplane); the parity is meaningless in that case.
-    """
-    dom, parity = _descend(rs, _require_rank(rs, xi))
-    return dom, parity, 0 in dom
-
-
-def root_coords(rs: RootSystem, xi) -> tuple[Fraction, ...]:
-    """Coordinates of xi on the simple roots, as exact rationals."""
-    xi = _require_rank(rs, xi)
-    return tuple(Fraction(sum(map(mul, row, xi)), rs.cartan_det) for row in rs.adj_cartan_t)
-
-
 def integral_root_coords(rs: RootSystem, xi) -> tuple[int, ...] | None:
-    """Like :func:`root_coords` but in integers, and None when xi is not in
-    the root lattice."""
+    """Coordinates of xi on the simple roots, in integers, or None when xi is
+    not in the root lattice."""
     xi = _require_rank(rs, xi)
     det = rs.cartan_det
     coords = []

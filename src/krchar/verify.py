@@ -14,6 +14,7 @@ from typing import Callable, Iterator, NamedTuple
 from . import ratlp
 from .graded import (
     GradedChar,
+    ext_dim,
     gch_N,
     gch_P_direct,
     gch_P_recursive,
@@ -208,8 +209,6 @@ def check_c_table() -> CheckResult:
     ms = ModuleSpec.adjoint(rs, 2)
     base = LambdaPoint(omega_weight(5, (3, 2)), (0, 0))
     w = lambda *terms: omega_weight(5, *terms)
-    from .graded import ext_dim
-
     cases = [
         (base.weight, (0, 0), 0, 1),
         (w((3, 1), (1, 1)), (1, 0), 1, 1),

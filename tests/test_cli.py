@@ -57,16 +57,35 @@ def test_parse_point():
 
 
 def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
-    # Both modules cost a cold process start-up time and memory, and nothing
-    # in the package needs them.
+    # These modules cost a cold process start-up time and memory.  Nothing in
+    # the package needs dataclasses or inspect; fractions (and the decimal it
+    # imports) only the exact LP, which krchar.cli loads through verify.
     import krchar
 
     src = str(Path(krchar.__file__).resolve().parent.parent)
-    probe = ("import sys, krchar.cli; "
+    probe = ("import sys, krchar; "
+             "print(sorted({'fractions', 'decimal'} & set(sys.modules))); "
+             "import krchar.cli; "
              "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src), timeout=60, check=True)
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.splitlines() == ["[]", "[]"]
+
+
+def test_star_import_binds_every_export_and_all_lists_every_import():
+    # A stale name in __all__ breaks a user's star import, and a public name
+    # that __init__ imports but __all__ leaves out is exported only by halves.
+    import ast
+
+    import krchar
+
+    namespace = {}
+    exec("from krchar import *", namespace)
+    assert set(krchar.__all__) <= namespace.keys()
+    tree = ast.parse(Path(krchar.__file__).read_text())
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert sorted(krchar.__all__) == sorted(n for n in imported if not n.startswith("_"))
 
 
 # -- exit codes ---------------------------------------------------------------------
@@ -486,10 +505,7 @@ def test_iso_json_round_trip():
 
 
 def test_latex_multiplicity_prefix():
-    from krchar.graded import GradedChar, specialize_degree
-
-    g = specialize_degree(gch_N(build_root_system("D5"), (0, 0, 2, 0, 0), 2))
-    text = graded_latex(g)
+    text = graded_latex(GradedChar({((1, 0, 1, 0, 0), (1,)): 2}))
     assert "2\\,\\ch V(\\omega_{1}+\\omega_{3})\\, t_{1}" in text
 
 

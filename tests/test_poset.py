@@ -17,7 +17,6 @@ from krchar.poset import (
     check_psi_extra,
     checked_psi,
     compositions,
-    covers,
     d_psi,
     deg,
     gamma_psi,
@@ -28,8 +27,9 @@ from krchar.poset import (
     psi_of_mu,
 )
 from krchar.ratlp import exposes
-from krchar.repchar import ModuleSpec, adjoint_char
-from krchar.rootsys import build_root_system, dominant_weights_below, omega_weight, root_coords
+from krchar.repchar import ModuleSpec, adjoint_char, component_char
+from krchar.rootsys import build_root_system, dominant_weights_below, omega_weight, sub_weights
+from test_rootsys import fraction_root_coords
 
 A1 = build_root_system("A1")
 A2 = build_root_system("A2")
@@ -265,29 +265,7 @@ def test_d_psi_refuses_an_element_that_is_not_a_negative_root(element):
         d_psi(A1, frozenset({element}), (4,), (0,))
 
 
-# -- cover relation and refined order ---------------------------------------------
-
-def test_covers_basic():
-    ms = ModuleSpec.adjoint(D5, 2)
-    a = LambdaPoint(omega_weight(5, (3, 2)), (0, 0))
-    assert not covers(D5, ms, a, a)
-    b = LambdaPoint(omega_weight(5, (3, 1), (1, 1)), (1, 0))
-    assert covers(D5, ms, a, b)  # weight difference is a root
-    far = LambdaPoint(omega_weight(5, (1, 2)), (1, 1))
-    assert not covers(D5, ms, a, far)  # total degree jump of two
-    skew = LambdaPoint(omega_weight(5, (3, 1), (1, 1)), (0, 0))
-    assert not covers(D5, ms, a, skew)
-
-
-def test_covers_consults_the_right_layer():
-    vec = omega_weight(4, (1, 1))
-    theta = omega_weight(4, (2, 1))
-    ms = ModuleSpec(((vec,), (theta,)))
-    a = LambdaPoint((0, 0, 0, 0), (0, 0))
-    assert covers(D4, ms, a, LambdaPoint(vec, (1, 0)))
-    assert not covers(D4, ms, a, LambdaPoint(vec, (0, 1)))  # not a weight of V_2
-    assert covers(D4, ms, a, LambdaPoint(theta, (0, 1)))
-
+# -- refined order ----------------------------------------------------------------
 
 def test_leq_psi():
     psi = psi_i(D4, 2)
@@ -350,7 +328,7 @@ def test_dominant_weight_walk_matches_freudenthal(label):
         for node in rng.sample(range(rs.rank), min(2, rs.rank)):
             lam[node] += rng.randint(1, 2)
         lam = tuple(lam)
-        box = [int(c) for c in root_coords(rs, lam)]
+        box = [int(c) for c in fraction_root_coords(rs, lam)]
         if math.prod(b + 1 for b in box) > 20_000:
             continue
         brute = {}
@@ -450,15 +428,22 @@ def test_gamma_convexity_and_antisymmetry():
 
 
 def test_gamma_refines_cover_order():
-    # A one-step rise in the refined order is an actual cover.
+    # A one-step rise in the refined order is an actual cover: the degrees
+    # differ by a unit vector e_j, and the weights by a weight of layer j.
     ms = ModuleSpec.adjoint(D5, 2)
     psi = psi_i(D5, 3)
     base = LambdaPoint(omega_weight(5, (3, 2)), (0, 0))
     gamma = gamma_psi(D5, psi, base, 2)
+    rises = 0
     for a in gamma.points:
         for b in gamma.points:
             if leq_psi(D5, psi, a, b) and deg(b.degree) - deg(a.degree) == 1:
-                assert covers(D5, ms, a, b)
+                gap = sub_weights(b.degree, a.degree)
+                assert sorted(gap) == [0, 1], (a, b)
+                layer = component_char(D5, ms.components[gap.index(1)])
+                assert sub_weights(b.weight, a.weight) in layer.entries, (a, b)
+                rises += 1
+    assert rises
 
 
 def test_d_psi_additivity_on_gamma_chains():
