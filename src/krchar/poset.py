@@ -1,6 +1,6 @@
 """Poset machinery on P+ x Z^ell: Psi-sets, the refined order, distances and
-enumeration of the finite convex up-sets used by the graded character
-recursion."""
+the finite convex up-sets of the graded character recursion, walked from their
+base by psi-steps (the distance search d_psi serves leq_psi and the oracles)."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from .rootsys import (
     RootSystem,
     Weight,
     _require_rank,
-    dominant_weights_below,
+    add_weights,
     integral_root_coords,
     omega_weight,
     require_degree,
@@ -107,20 +107,12 @@ def check_polytope_condition(rs: RootSystem, psi: PsiSet) -> bool:
 
 
 def check_psi_extra(rs: RootSystem, psi: PsiSet) -> bool:
-    """Support conditions: psi sits inside the negative roots (so it avoids
-    the dominant cone and bounds the reachable dominant weights), and is
-    never hit from a dominant weight of the adjoint module by adding a simple
-    root."""
+    """Support condition: psi lies in the negative roots.  The other one, that
+    no element of psi is xi + alpha_j for a dominant adjoint weight xi and a
+    simple root alpha_j, follows and is not tested: such a xi is 0 or a
+    positive root, so xi + alpha_j has nonnegative root coordinates."""
     table = rs.adjoint_coords
-    if not all(w in table and sum(table[w]) < 0 for w in psi):
-        return False
-    for xi in table:
-        if rs.is_dominant(xi):
-            for i in range(rs.rank):
-                shifted = tuple(x + c for x, c in zip(xi, rs.cartan[i]))
-                if shifted in psi:
-                    return False
-    return True
+    return all(w in table and sum(table[w]) < 0 for w in psi)
 
 
 def checked_psi(rs: RootSystem, psi: PsiSet) -> PsiSet:
@@ -240,28 +232,28 @@ class GammaSet:
 def gamma_psi(rs: RootSystem, psi: PsiSet, base: LambdaPoint, ell: int) -> GammaSet:
     """Enumerate every point reachable from ``base`` in the refined order.
 
-    Candidate weights are the dominant weights under base.weight in the root
-    order, listed by :func:`rootsys.dominant_weights_below`; a candidate is
-    kept when the psi-distance is defined.  The multidegrees of a kept weight
-    are all shifts of the base degree by a vector of the matching total
-    degree.  psi goes through :func:`checked_psi` first.
+    The weights are walked breadth-first from base.weight by single steps of
+    psi through dominant weights; for a psi that :func:`checked_psi` accepts,
+    a weight's level is its distance d_psi (the lemma in the README).  The
+    multidegrees of a kept weight are all shifts of the base degree by a
+    vector of the matching total degree.
     """
     psi = checked_psi(rs, psi)
     _require_lengths(rs, require_ell(ell), base)
     lam = require_dominant(rs, base.weight, "base weight")
     base = LambdaPoint(lam, tuple(base.degree))
-    keyed = []
-    d_of: dict[Weight, int] = {}
-    for mu in dominant_weights_below(rs, lam):
-        d = d_psi(rs, psi, lam, mu)
-        if d is None:
-            continue
-        d_of[mu] = d
-        for r in compositions(d, ell):
-            s = tuple(b + x for b, x in zip(base.degree, r))
-            keyed.append((d, mu, s))
-    keyed.sort()
+    d_of = {lam: 0}
+    level = [lam]
+    while level:
+        nxt = []
+        for mu in level:
+            for step in psi:
+                nu = add_weights(mu, step)
+                if nu not in d_of and rs.is_dominant(nu):
+                    d_of[nu] = d_of[mu] + 1
+                    nxt.append(nu)
+        level = nxt
+    keyed = sorted((d, mu, tuple(b + x for b, x in zip(base.degree, r)))
+                   for mu, d in d_of.items() for r in compositions(d, ell))
     points = tuple(LambdaPoint(mu, s) for _, mu, s in keyed)
-    if not points or points[0] != base:
-        raise AssertionError(f"gamma set above {base} does not start at its base")
     return GammaSet(base, psi, points, d_of)

@@ -7,8 +7,8 @@ weight in the root lattice are read off one integer matrix, cartan_det *
 C^-T.  This module uses no fraction and no floating point; the bilinear
 form is normalised so that short roots have squared length 2.
 :func:`dominant_weights_below` is the one enumeration of the dominant weights
-of a simple module: the Freudenthal multiplicities and the Gamma sets both
-start from it.
+of a simple module, and the Freudenthal multiplicities start from it; the
+Gamma sets of :mod:`poset` walk by psi-steps instead and never call it.
 """
 
 from __future__ import annotations

@@ -428,6 +428,10 @@ def check_dpsi_additivity() -> CheckResult:
             continue  # the distance lives on weights; one gamma per weight set
         base, gamma = _kr_gamma(rs, lam, 1)
         psi = gamma.psi
+        # The walk that lists gamma against the per-weight search below lam.
+        for nu in dominant_weights_below(rs, lam):
+            if d_psi(rs, psi, lam, nu) != gamma.d_of.get(nu):
+                return _fail(name, f"{rs.lie_type}: the walk and d_psi disagree at {nu}")
         weights = sorted(gamma.d_of)
         for x in weights:
             for y in weights:

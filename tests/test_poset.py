@@ -1,15 +1,13 @@
 """Tests for Psi-sets, the refined order, distances and Gamma enumeration."""
 
 import math
-import os
 import random
-import subprocess
-import sys
-from itertools import product
-from pathlib import Path
+from itertools import combinations, product
 
 import pytest
 
+from krchar import poset
+from krchar.graded import MODES, gch_N, gch_P_recursive
 from krchar.poset import (
     GammaSet,
     LambdaPoint,
@@ -27,7 +25,7 @@ from krchar.poset import (
     psi_of_mu,
 )
 from krchar.ratlp import exposes
-from krchar.repchar import ModuleSpec, adjoint_char, component_char
+from krchar.repchar import ModuleSpec, adjoint_char, clear_memo_caches, component_char
 from krchar.rootsys import build_root_system, dominant_weights_below, omega_weight, sub_weights
 from test_rootsys import fraction_root_coords
 
@@ -35,7 +33,6 @@ A1 = build_root_system("A1")
 A2 = build_root_system("A2")
 D4 = build_root_system("D4")
 D5 = build_root_system("D5")
-SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def _neg(w):
@@ -134,6 +131,43 @@ def test_psi_extra():
     # A raw set containing the highest root hits the dominant cone.
     theta = D4.highest_root.weight
     assert not check_psi_extra(D4, frozenset({theta}))
+
+
+def _both_support_conditions(rs, psi):
+    """psi inside the negative roots, and no element of psi equal to xi +
+    alpha_j for a dominant weight xi of the adjoint module and a simple root
+    alpha_j: the two conditions, both tested."""
+    table = rs.adjoint_coords
+    if not all(w in table and sum(table[w]) < 0 for w in psi):
+        return False
+    return not any(
+        tuple(x + c for x, c in zip(xi, rs.cartan[j])) in psi
+        for xi in table if rs.is_dominant(xi) for j in range(rs.rank)
+    )
+
+
+def _subsets(items):
+    return (frozenset(sub) for k in range(len(items) + 1) for sub in combinations(items, k))
+
+
+def test_psi_extra_needs_only_the_negative_root_condition():
+    # The verdicts can differ only on sets that pass the first condition,
+    # the subsets of the negative roots: all of them on every type below,
+    # and every subset of the adjoint weights on the types with at most 15.
+    negative_subsets = 0
+    for label in ("A1", "A2", "A3", "B2", "B3", "C2", "C3", "D4"):
+        rs = build_root_system(label)
+        weights = sorted(rs.adjoint_coords)
+        negative = [w for w in weights if sum(rs.adjoint_coords[w]) < 0]
+        for psi in _subsets(negative):
+            assert check_psi_extra(rs, psi) and _both_support_conditions(rs, psi), \
+                f"{label} {sorted(psi)}"
+            negative_subsets += 1
+        if len(weights) <= 15:
+            for psi in _subsets(weights):
+                assert check_psi_extra(rs, psi) == _both_support_conditions(rs, psi), \
+                    f"{label} {sorted(psi)}"
+    assert negative_subsets == 5226
 
 
 # Sets that gamma_psi and checked_psi must refuse: a hand-built non-face, a
@@ -289,31 +323,101 @@ def test_gamma_requires_checked_psi():
     assert len(gamma_psi(D4, psi_i(D4, 2), base, 1)) == 3
 
 
-def test_gamma_base_check_survives_python_O():
-    # An enumeration that misses its own base is an internal error even with
-    # assertions compiled out.
-    script = """
-import krchar.poset as poset
-from krchar.rootsys import build_root_system
-rs = build_root_system("D4")
-full = poset.dominant_weights_below
-poset.dominant_weights_below = lambda rs, lam: {
-    mu: c for mu, c in full(rs, lam).items() if mu != lam}
-try:
-    poset.gamma_psi(rs, poset.psi_i(rs, 2), poset.LambdaPoint((0, 2, 0, 0), (0,)), 1)
-except AssertionError as exc:
-    print("AssertionError:", exc)
-else:
-    print("returned")
-"""
-    out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
-                         text=True, check=True, env={**os.environ, "PYTHONPATH": SRC})
-    assert out.stdout.startswith("AssertionError: gamma set above"), out.stdout
+def _searched_distances(rs, psi, lam):
+    """The distances of Gamma by the per-weight search: every dominant weight
+    below lam, kept with d_psi(lam, mu) when that is defined."""
+    out = {}
+    for mu in dominant_weights_below(rs, lam):
+        d = d_psi(rs, psi, lam, mu)
+        if d is not None:
+            out[mu] = d
+    return out
+
+
+@pytest.mark.parametrize("label", ["A2", "A3", "A4", "B2", "B3", "C2", "C3", "D4"])
+def test_gamma_walk_matches_the_search_on_every_checked_face(label):
+    # Every set of negative roots that checked_psi accepts, from every
+    # nonzero dominant lam with coordinate sum at most 2.
+    rs = build_root_system(label)
+    negative = sorted(_neg(r.weight) for r in rs.positive_roots)
+    faces = []
+    for psi in _subsets(negative):
+        try:
+            faces.append(checked_psi(rs, psi))
+        except ValueError:
+            continue
+    lams = [lam for lam in product(range(3), repeat=rs.rank) if 0 < sum(lam) <= 2]
+    for psi in faces:
+        for lam in lams:
+            gamma = gamma_psi(rs, psi, LambdaPoint(lam, (0,)), 1)
+            assert gamma.d_of == _searched_distances(rs, psi, lam), (sorted(psi), lam)
+    assert len(faces) > 1
+
+
+# Type A is left out: the highest root of A_n has every coefficient 1, so
+# each of its psi_i is empty.
+WALK_LABELS = (
+    [f"B{n}" for n in range(2, 8)] + [f"C{n}" for n in range(2, 8)]
+    + [f"D{n}" for n in range(4, 8)]
+)
+
+
+@pytest.mark.parametrize("label", WALK_LABELS)
+def test_gamma_walk_matches_the_search_on_psi_i(label):
+    # Every nonempty psi_i, from two seeded lam with up to two nonzero
+    # coordinates of size 1 or 2 each; a lam whose box of root coordinates
+    # holds more than 20,000 points is drawn again, to bound the search.
+    rs = build_root_system(label)
+    rng = random.Random(f"gamma walk {label}")
+    for i in range(1, rs.rank + 1):
+        psi = psi_i(rs, i)
+        if not psi:
+            continue
+        checked = 0
+        while checked < 2:
+            lam = [0] * rs.rank
+            for node in rng.sample(range(rs.rank), 2):
+                lam[node] += rng.randint(1, 2)
+            lam = tuple(lam)
+            if math.prod(int(c) + 1 for c in fraction_root_coords(rs, lam)) > 20_000:
+                continue
+            gamma = gamma_psi(rs, psi, LambdaPoint(lam, (0,)), 1)
+            assert gamma.d_of == _searched_distances(rs, psi, lam), (i, lam)
+            checked += 1
+
+
+def test_gamma_and_gch_run_without_the_distance_search(monkeypatch):
+    # Gamma comes from the walk alone: with the search, its root coordinates
+    # and the listing of dominant weights made to raise inside poset, gch_N,
+    # both modes of the recursion and gamma_psi return what they return
+    # without the patches.
+    D6 = build_root_system("D6")
+    lam = omega_weight(5, (3, 2))
+    base = LambdaPoint(omega_weight(6, (4, 2)), (0, 0))
+
+    def run():
+        clear_memo_caches()
+        gamma = gamma_psi(D6, psi_i(D6, 4), base, 2)
+        ms = ModuleSpec.adjoint(D5, 3)
+        kr_base = LambdaPoint(lam, (0, 0, 0))
+        kr_gamma = gamma_psi(D5, psi_i(D5, 3), kr_base, 3)
+        recursive = [gch_P_recursive(D5, ms, kr_base, kr_gamma, mode) for mode in MODES]
+        return gch_N(D5, lam, 3), recursive, gamma.points, gamma.d_of
+
+    expected = run()
+    assert len(expected[2]) > 1  # the D6 Gamma is more than its base
+
+    def refuse(*args):
+        raise AssertionError("the per-weight distance search ran")
+
+    for name in ("dominant_weights_below", "d_psi", "integral_root_coords"):
+        monkeypatch.setattr(poset, name, refuse, raising=False)
+    assert run() == expected
 
 
 @pytest.mark.parametrize("label", [x for x in CLASSICAL_RANK_8 if int(x[1:]) <= 6])
 def test_dominant_weight_walk_matches_freudenthal(label):
-    # The walk that Freudenthal's formula and Gamma run over, against its
+    # The walk that Freudenthal's formula runs over, against its
     # definition (Freudenthal reads the walk, so it cannot be the oracle):
     # every dominant mu with lam - mu in Q+, found by brute force over the
     # box of root coordinates under lam (a dominant mu has nonnegative root
