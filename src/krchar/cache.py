@@ -2,12 +2,13 @@
 a version header and one sorted ``[family, rank, lam, nu, [[mu, m], ...]]``
 line per decomposition.  A line is loaded only if its weights are dominant
 of the type's rank, ``lam <= nu`` as ``tensor_decompose`` keys them, each mu
-appears once with a positive integer multiplicity m, and
-sum m dim V(mu) = dim V(lam) dim V(nu) holds exactly.  Any other line is
-dropped with a warning and counted in ``TensorCache.dropped``, so it is
-recomputed on demand and left out of the next write; a file without the
-header is ignored with a warning.  Storing writes a temporary file and
-renames it into place, so readers never observe a partial file.
+appears once with a positive integer multiplicity m, the top constituent
+V(lam + nu) has m = 1, and sum m dim V(mu) = dim V(lam) dim V(nu) holds
+exactly.  Any other line is dropped with a warning and counted in
+``TensorCache.dropped``, so it is recomputed on demand and left out of the
+next write; a file without the header is ignored with a warning.  Storing
+writes a temporary file and renames it into place, so readers never observe
+a partial file.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import sys
 import tempfile
 
 from .repchar import IsoChar, TensorCache
-from .rootsys import LieType, build_root_system, require_dominant, weyl_dim
+from .rootsys import LieType, add_weights, build_root_system, require_dominant, weyl_dim
 
 HEADER = json.dumps({"format": "krchar-tensor-store", "version": 1})
 
@@ -35,6 +36,8 @@ def _decomposition(line: bytes):
     if (lam > nu or len(mults) != len(pairs)
             or not all(type(m) is int and m > 0 for m in mults.values())):
         raise ValueError("lam > nu, a repeated mu or a multiplicity that is not a positive integer")
+    if mults.get(add_weights(lam, nu)) != 1:  # lam + nu is the top weight, of multiplicity 1
+        raise ValueError("V(lam + nu) does not occur exactly once")
     if IsoChar(mults).total_dimension(rs) != weyl_dim(rs, lam) * weyl_dim(rs, nu):
         raise ValueError("sum m * dim V(mu) differs from dim V(lam) * dim V(nu)")
     return (rs.lie_type, lam, nu), mults

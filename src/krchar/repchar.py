@@ -36,13 +36,20 @@ from .rootsys import (
 
 DEFAULT_CACHE_ENTRIES = 100_000
 
-_cache_registry: list["BoundedCache"] = []
+_cache_registry: list = []
 
 
-def register_cache(cache: "BoundedCache") -> "BoundedCache":
-    """Track a module-level memo table so clear_memo_caches can reach it."""
+def register_cache(cache):
+    """Track a module-level memo table (anything with ``clear()``) so
+    clear_memo_caches can reach it."""
     _cache_registry.append(cache)
     return cache
+
+
+# Weyl dimensions stay a plain dict: the store's line check looks them up
+# thousands of times a load, and a dict lookup is several times cheaper than
+# a locked one.
+register_cache(_weyl_dim_cache)
 
 
 class BoundedCache:
@@ -563,5 +570,4 @@ def clear_memo_caches() -> None:
     """Drop every in-memory memo table (the persistent store is untouched)."""
     for cache in _cache_registry:
         cache.clear()
-    _tensor_cache.clear()
-    _weyl_dim_cache.clear()
+    _tensor_cache.clear()  # swappable, so looked up at call time

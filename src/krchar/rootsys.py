@@ -145,14 +145,18 @@ class RootSystem:
             tuple((j, a) for j, a in enumerate(row) if a) for row in self.cartan
         )
         self.half_lengths = _half_lengths(lie_type)
-        self.rho: Weight = (1,) * n
         self.positive_roots = self._close_positive_roots()
         expected = _EXPECTED_ROOT_COUNT[lie_type.family](n)
         if len(self.positive_roots) != expected:
             raise AssertionError(
                 f"{lie_type}: found {len(self.positive_roots)} positive roots, expected {expected}"
             )
-        self.highest_root_index = self._locate_highest_root()
+        # An irreducible system has one root of greatest height, so the
+        # sorted list ends with it.
+        self.highest_root: PositiveRoot = self.positive_roots[-1]
+        theta = self.highest_root.coords
+        if any(t < c for root in self.positive_roots for t, c in zip(theta, root.coords)):
+            raise AssertionError("highest root does not dominate all positive roots")
         # Integer root coordinates of each adjoint weight: zero and every root.
         self.adjoint_coords = {(0,) * n: (0,) * n}
         for r in self.positive_roots:
@@ -171,39 +175,23 @@ class RootSystem:
     # -- construction -----------------------------------------------------
 
     def _close_positive_roots(self):
+        # Every positive root is reached from a simple root by simple
+        # reflections that raise its height (Humphreys, Introduction to Lie
+        # Algebras, 10.2): where the weight coordinate c = <beta, alpha_i^vee>
+        # is negative, s_i beta = beta - c alpha_i is a positive root.
         n = self.rank
         cartan = self.cartan
         d = self.half_lengths
-        roots: dict[tuple[int, ...], Weight] = {}
-        frontier = []
-        for i in range(n):
-            coords = tuple(int(j == i) for j in range(n))
-            roots[coords] = tuple(cartan[i])
-            frontier.append(coords)
-        while frontier:
-            fresh = []
-            for coords in frontier:
-                weight = roots[coords]
-                for i in range(n):
-                    # Length p of the alpha_i-string below beta; beta + alpha_i
-                    # is a root exactly when p - <beta, alpha_i^vee> >= 1.
-                    p = 0
-                    probe = list(coords)
-                    while True:
-                        probe[i] -= 1
-                        if tuple(probe) in roots:
-                            p += 1
-                        else:
-                            break
-                    if p - weight[i] < 1:
-                        continue
-                    up = list(coords)
-                    up[i] += 1
-                    up_t = tuple(up)
-                    if up_t not in roots:
-                        roots[up_t] = tuple(w + c for w, c in zip(weight, cartan[i]))
-                        fresh.append(up_t)
-            frontier = fresh
+        roots = {tuple(int(j == i) for j in range(n)): cartan[i] for i in range(n)}
+        walk = list(roots)
+        for coords in walk:  # grows as new roots are found
+            weight = roots[coords]
+            for i, c in enumerate(weight):
+                if c < 0:
+                    up = coords[:i] + (coords[i] - c,) + coords[i + 1:]
+                    if up not in roots:
+                        roots[up] = tuple(w - c * a for w, a in zip(weight, cartan[i]))
+                        walk.append(up)
         result = []
         for coords in sorted(roots, key=lambda c: (sum(c), c)):
             weight = roots[coords]
@@ -214,20 +202,7 @@ class RootSystem:
             result.append(PositiveRoot(coords, weight, norm // 2, md, sum(md)))
         return tuple(result)
 
-    def _locate_highest_root(self) -> int:
-        top = max(range(len(self.positive_roots)),
-                  key=lambda k: sum(self.positive_roots[k].coords))
-        theta = self.positive_roots[top].coords
-        for root in self.positive_roots:
-            if any(t < c for t, c in zip(theta, root.coords)):
-                raise AssertionError("highest root does not dominate all positive roots")
-        return top
-
     # -- basic queries -----------------------------------------------------
-
-    @property
-    def highest_root(self) -> PositiveRoot:
-        return self.positive_roots[self.highest_root_index]
 
     def is_dominant(self, xi: Weight) -> bool:
         return len(xi) == self.rank and all(c >= 0 for c in xi)

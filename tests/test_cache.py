@@ -89,7 +89,8 @@ _TAMPERED = {
     "float multiplicity": '["A",1,[1],[1],[[[0],1.0],[[2],1]]]',
     "bool multiplicity": '["A",1,[1],[1],[[[0],true],[[2],1]]]',
     "repeated weight": '["A",1,[1],[1],[[[0],1],[[0],1]]]',
-    "dimension identity": '["A",1,[1],[1],[[[0],1],[[2],2]]]',
+    "top constituent": '["A",1,[1],[1],[[[0],4]]]',
+    "dimension identity": '["A",1,[1],[1],[[[0],2],[[2],1]]]',
     "family": '["E",1,[1],[1],[[[0],1],[[2],1]]]',
     "shape": '["A",1,[1],[1]]',
 }

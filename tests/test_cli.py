@@ -577,8 +577,8 @@ def _tensor_run(capsys, *extra):
     return _cold_run(capsys, _TENSOR + list(extra))
 
 
-# A2 omega_2 (x) omega_1 is V(1,1) + V(0,0); this line keeps the dimension 9,
-# so it passes the store's line check.
+# A2 omega_2 (x) omega_1 is V(1,1) + V(0,0); this line keeps the dimension 9
+# but lacks the top constituent V(1,1), so the store's line check drops it.
 _EDITED_A2_STORE = ('{"format": "krchar-tensor-store", "version": 1}\n'
                     '["A",2,[0,1],[1,0],[[[0,0],3],[[2,0],1]]]\n')
 
@@ -629,6 +629,28 @@ def test_store_with_edited_multiplicity_is_recomputed(tmp_path, capsys):
     code, out, err = _tensor_run(capsys, "--cache", str(path))
     assert (code, out) == _tensor_run(capsys)[:2]
     assert "dim V(lam) * dim V(nu)" in err
+
+
+def test_store_line_without_the_top_constituent_is_recomputed(tmp_path, capsys):
+    path = tmp_path / "edited.cache"
+    path.write_text(_EDITED_A2_STORE)
+    argv = ["tensor", "--algebra", "A2", "--weight", "0,1", "--weight", "1,0"]
+
+    code, out, err = _cold_run(capsys, argv + ["--cache", str(path)])
+    assert (code, out) == (0, "V(0,0)  x1\nV(1,1)  x1\n")
+    assert "skipping corrupt cache line 2" in err
+    assert "V(lam + nu) does not occur exactly once" in err
+    assert path.read_text().splitlines()[1] == '["A",2,[0,1],[1,0],[[[0,0],1],[[1,1],1]]]'
+
+
+def test_store_line_with_dimension_and_top_constituent_is_served(tmp_path, capsys):
+    # The line checks do not prove a decomposition: A2 omega_1 (x) omega_1 is
+    # V(2,0) + V(0,1), and this line keeps both the dimension 9 and V(2,0) x1.
+    path = tmp_path / "edited.cache"
+    path.write_text('{"format": "krchar-tensor-store", "version": 1}\n'
+                    '["A",2,[1,0],[1,0],[[[0,0],3],[[2,0],1]]]\n')
+    argv = ["tensor", "--algebra", "A2", "--weight", "1,0", "--weight", "1,0"]
+    assert _cold_run(capsys, argv + ["--cache", str(path)]) == (0, "V(0,0)  x3\nV(2,0)  x1\n", "")
 
 
 def test_old_format_store_is_ignored_then_rewritten(tmp_path, capsys):

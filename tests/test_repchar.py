@@ -110,7 +110,7 @@ def test_freudenthal_satisfies_the_weyl_character_formula(label):
     # above 4,000 are drawn again.
     rs = build_root_system(label)
     rng = random.Random(f"weyl character formula {label}")
-    a_rho = _alternant(rs, rs.rho)
+    a_rho = _alternant(rs, (1,) * rs.rank)
     checked = set()
     while len(checked) < 3:
         lam = [0] * rs.rank
@@ -194,10 +194,6 @@ def _racah_speiser_full_descent(rs, ch, start):
 
 KERNEL_LABELS = ("A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5",
                  "C2", "C3", "C4", "C5", "D4", "D5")
-
-
-def _adams(ch, j):
-    return WeightChar({tuple(j * c for c in w): m for w, m in ch.entries.items()})
 
 
 @pytest.mark.parametrize("label", KERNEL_LABELS)
