@@ -237,7 +237,9 @@ def dominant_multiplicities(rs: RootSystem, lam) -> Mapping[Weight, int]:
     Freudenthal's formula is evaluated on the dominant weights only, from the
     top down (Moody-Patera, Bull. AMS 7, 1982): each m(mu + k beta) is read at
     the dominant conjugate of mu + k beta, which lies strictly above mu and is
-    therefore already known.  Everything is plain integer arithmetic.
+    therefore already known.  Strings of different mu meet, so each string
+    weight is descended once per call and its conjugate kept until the call
+    returns.  Everything is plain integer arithmetic.
     """
     lam = require_dominant(rs, lam)  # before the lookup: 1.0 would hit the key of 1
     key = (rs.lie_type, lam)
@@ -247,6 +249,7 @@ def dominant_multiplicities(rs: RootSystem, lam) -> Mapping[Weight, int]:
     n = rs.rank
     d = rs.half_lengths
     mults: dict[Weight, int] = {}
+    conjugate: dict[Weight, Weight] = {}
     for mu, off in dominant_weights_below(rs, lam).items():
         if mu == lam:
             mults[mu] = 1
@@ -254,17 +257,20 @@ def dominant_multiplicities(rs: RootSystem, lam) -> Mapping[Weight, int]:
         acc = 0
         for root in rs.positive_roots:
             rw = root.weight
-            pair = sum(m * c for m, c in zip(root.md, mu))
+            pair = sum(map(operator.mul, root.md, mu))
             step = 2 * root.half_norm
             k = 1
-            x = add_weights(mu, rw)
+            x = tuple(map(operator.add, mu, rw))
             while True:
-                mx = mults.get(_descend(rs, x)[0])
+                dom = conjugate.get(x)
+                if dom is None:
+                    dom = conjugate[x] = _descend(rs, x)[0]
+                mx = mults.get(dom)
                 if mx is None:  # weight strings are unbroken
                     break
                 acc += mx * (pair + k * step)
                 k += 1
-                x = add_weights(x, rw)
+                x = tuple(map(operator.add, x, rw))
         den = sum(off[i] * d[i] * (lam[i] + mu[i] + 2) for i in range(n))
         num = 2 * acc
         if den <= 0 or num % den:
@@ -280,8 +286,9 @@ def dominant_multiplicities(rs: RootSystem, lam) -> Mapping[Weight, int]:
 def freudenthal(rs: RootSystem, lam) -> WeightChar:
     """Character of the simple module V(lam): each dominant multiplicity
     spread over its Weyl orbit, walked by simple reflections at the positive
-    coordinates."""
-    cartan = rs.cartan
+    coordinates.  s_i changes only the coordinates where row i of the Cartan
+    matrix is nonzero, at most four of them."""
+    rows = rs.cartan_rows
     full: dict[Weight, int] = {}
     for mu, m in dominant_multiplicities(rs, lam).items():
         full[mu] = m
@@ -289,7 +296,10 @@ def freudenthal(rs: RootSystem, lam) -> WeightChar:
         for w in orbit:
             for i, c in enumerate(w):
                 if c > 0:
-                    x = tuple(a - c * r for a, r in zip(w, cartan[i]))
+                    x = list(w)
+                    for j, a in rows[i]:
+                        x[j] -= c * a
+                    x = tuple(x)
                     if x not in full:
                         full[x] = m
                         orbit.append(x)

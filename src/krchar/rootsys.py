@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import prod
-from operator import mul
+from operator import add, mul, sub
 from typing import NamedTuple
 
 Weight = tuple[int, ...]
@@ -343,7 +343,7 @@ def dominant_weights_below(rs: RootSystem, lam) -> dict[Weight, tuple[int, ...]]
         coords = found[mu]
         for root in rs.positive_roots:
             nu = sub_weights(mu, root.weight)
-            if nu not in found and rs.is_dominant(nu):
+            if nu not in found and min(nu) >= 0:  # nu has rs.rank coordinates
                 found[nu] = add_weights(coords, root.coords)
                 todo.append(nu)
     return dict(sorted(found.items(), key=lambda item: sum(item[1])))
@@ -360,8 +360,8 @@ def omega_weight(rank: int, *terms: tuple[int, int]) -> Weight:
 
 
 def add_weights(x, y) -> Weight:
-    return tuple(a + b for a, b in zip(x, y))
+    return tuple(map(add, x, y))
 
 
 def sub_weights(x, y) -> Weight:
-    return tuple(a - b for a, b in zip(x, y))
+    return tuple(map(sub, x, y))

@@ -114,10 +114,11 @@ def test_dominant_weight_oracle_agrees_with_the_peel_on_every_rank2_pair():
     from krchar.repchar import freudenthal, iso_decompose, tensor_decompose
 
     count = 0
+    chars = {}
     for label, rs, lam, nu in verify._rank2_pairs():
         product = freudenthal(rs, lam) * freudenthal(rs, nu)
         dominant = {w: m for w, m in product.entries.items() if rs.is_dominant(w)}
-        assert verify._dominant_product(rs, lam, nu) == dominant, (label, lam, nu)
+        assert verify._dominant_product(rs, lam, nu, chars) == dominant, (label, lam, nu)
         assert iso_decompose(rs, product) == tensor_decompose(rs, lam, nu), (label, lam, nu)
         count += 1
     assert count == 418

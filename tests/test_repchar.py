@@ -1,5 +1,6 @@
 """Character arithmetic tests: Freudenthal, Racah-Speiser, powers, coefficients."""
 
+import hashlib
 import math
 import random
 from itertools import product
@@ -124,6 +125,60 @@ def test_freudenthal_satisfies_the_weyl_character_formula(label):
         checked.add(lam)
 
 
+# The types check_dimension_conservation draws from; B and C have a Cartan
+# entry -2, and D a branch node whose row has four nonzero entries.
+SMALL_LABELS = ("A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5",
+                "C2", "C3", "C4", "C5", "D4", "D5")
+
+
+def _low_weights(rank):
+    """Every nonzero dominant weight with coordinate sum at most 2."""
+    return [lam for lam in product(range(3), repeat=rank) if 0 < sum(lam) <= 2]
+
+
+def _dense_row_orbits(rs, lam):
+    """Reference walk: each reflected weight is rebuilt from the full Cartan row."""
+    full = {}
+    for mu, m in dominant_multiplicities(rs, lam).items():
+        full[mu] = m
+        orbit = [mu]
+        for w in orbit:
+            for i, c in enumerate(w):
+                if c > 0:
+                    x = tuple(a - c * r for a, r in zip(w, rs.cartan[i]))
+                    if x not in full:
+                        full[x] = m
+                        orbit.append(x)
+    return full
+
+
+@pytest.mark.parametrize("label", SMALL_LABELS)
+def test_sparse_row_orbit_walk_matches_the_dense_row_walk(label):
+    # Same weights, same multiplicities, in the same order: the order is what
+    # the Racah-Speiser kernel sums in.
+    rs = build_root_system(label)
+    for lam in _low_weights(rs.rank):
+        got = freudenthal(rs, lam).entries
+        assert list(got.items()) == list(_dense_row_orbits(rs, lam).items()), lam
+
+
+def test_dominant_multiplicities_up_to_rank_five_are_pinned():
+    # One sha256 over the sorted dominant multiplicities of every weight the
+    # orbit-walk test uses, with every memo table cleared before each weight.
+    digest = hashlib.sha256()
+    count = 0
+    for label in SMALL_LABELS:
+        rs = build_root_system(label)
+        for lam in _low_weights(rs.rank):
+            clear_memo_caches()
+            items = sorted(dominant_multiplicities(rs, lam).items())
+            digest.update(repr((label, lam, items)).encode())
+            count += 1
+    assert count == 180
+    assert digest.hexdigest() == (
+        "f810897a0369d787119ec26cb033e17ccf772ebff33ed76ef6934d7f3a914af3")
+
+
 def test_dominant_multiplicities_subset():
     lam = omega_weight(4, (2, 1))
     dom = dominant_multiplicities(D4, lam)
@@ -192,11 +247,7 @@ def _racah_speiser_full_descent(rs, ch, start):
     return {mu: v for mu, v in out.items() if v}
 
 
-KERNEL_LABELS = ("A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5",
-                 "C2", "C3", "C4", "C5", "D4", "D5")
-
-
-@pytest.mark.parametrize("label", KERNEL_LABELS)
+@pytest.mark.parametrize("label", SMALL_LABELS)
 def test_racah_speiser_matches_the_full_descent(label):
     # Signed characters: weight systems, their Adams operations psi^j for
     # j <= 3 and differences of these, against weighted starts {lam: k} with
