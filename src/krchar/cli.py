@@ -285,11 +285,12 @@ def _run_verify(args: argparse.Namespace) -> tuple[int, str]:
     results = run_suite(args.suite)
     lines = []
     failed = 0
-    for res in results:
+    for res, elapsed in results:
         tag = "PASS" if res.ok else "FAIL"
         suffix = f"  ({res.detail})" if res.detail else ""
         lines.append(f"{tag} {res.name}{suffix}")
         failed += not res.ok
+        print(f"{res.name} {elapsed:.3f}", file=sys.stderr)
     lines.append(f"{len(results) - failed}/{len(results)} checks passed")
     return (1 if failed else 0), "\n".join(lines)
 

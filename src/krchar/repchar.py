@@ -98,6 +98,14 @@ class SparseChar:
     def __init__(self, entries: Mapping | None = None):
         self.entries = {k: v for k, v in (entries or {}).items() if v}
 
+    @classmethod
+    def _wrap(cls, entries: dict):
+        """The combination with exactly these entries, taken without a copy:
+        the caller guarantees that no value is zero and hands the dict over."""
+        out = cls.__new__(cls)
+        out.entries = entries
+        return out
+
     def __eq__(self, other):
         return type(other) is type(self) and self.entries == other.entries
 
@@ -303,7 +311,7 @@ def freudenthal(rs: RootSystem, lam) -> WeightChar:
                     if x not in full:
                         full[x] = m
                         orbit.append(x)
-    return WeightChar(full)
+    return WeightChar._wrap(full)  # dominant_multiplicities refuses m <= 0
 
 
 # -- tensor products -----------------------------------------------------------
@@ -557,6 +565,9 @@ def _fold(rs: RootSystem, kind: str, factors: tuple, lam: Weight) -> Mapping[Wei
 
 def _hom_coefficient(rs: RootSystem, ms: ModuleSpec, lam, mu, k, kind: str) -> int:
     lam, mu = require_dominant(rs, lam), require_dominant(rs, mu)
+    for comp in ms.components:  # before the lookup: 1.0 would hit the key of 1
+        for w in comp:
+            require_dominant(rs, w)
     k = require_degree(k, ms.ell, "degree vector")
     if min(k) < 0:  # a Hom degree lies in Z_+^ell
         raise ValueError(f"degree vector {list(k)} has a negative entry")

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import operator
 import random
+import time
+from itertools import chain, repeat
 from typing import Callable, Iterator, NamedTuple
 
 from . import ratlp
@@ -47,6 +49,7 @@ from .rootsys import (
     build_root_system,
     dominant_weights_below,
     omega_weight,
+    sub_weights,
     weyl_dim,
 )
 
@@ -338,19 +341,45 @@ def _dominant_product(rs, lam, nu, chars: dict) -> dict[Weight, int]:
     ``chars`` maps (type, weight) to the entries of the weight's full
     character and is filled here, so a check that shares it builds each
     factor once.  Every weight of the product lies below lam + nu, so its
-    dominant weights are among ``dominant_weights_below(lam + nu)``; no
+    dominant weights are among those of V(lam + nu): the keys of
+    ``dominant_multiplicities(lam + nu)``, which the check's other side has
+    already memoised, since V(lam + nu) occurs in every such product.  No
     reflection is used.
+
+    Weights are packed into integers, pack(x) = sum of x_i M^i in balanced
+    base M = 2B + 1, where B bounds |coordinate| over the weights of V(nu)
+    and over every w - u (by max |w_i| + max |u_i|).  pack is linear, so
+    pack(w) - pack(u) = pack(w - u).  It is injective on the box [-B, B]^n:
+    if pack(x) = pack(y) there, z = x - y has |z_i| <= 2B < M and
+    sum z_i M^i = 0; at the lowest i with z_i != 0, M would divide z_i.  So
+    the packed character of V(nu) returns m_nu(w - u) at pack(w) - pack(u),
+    and 0 exactly when w - u is not a weight of V(nu).
     """
     for x in (lam, nu):
         if (rs.lie_type, x) not in chars:
             chars[rs.lie_type, x] = freudenthal(rs, x).entries
     a, b = chars[rs.lie_type, lam], chars[rs.lie_type, nu]
+    top = dominant_multiplicities(rs, add_weights(lam, nu))
+    bound = max(_max_abs(b), max(map(max, top)) + _max_abs(a))
+    powers = [(2 * bound + 1) ** i for i in range(rs.rank)]
+
+    def pack(x):
+        return sum(map(operator.mul, x, powers))
+
+    packed_a = list(map(pack, a))
+    mult_a = list(a.values())
+    get_b = {pack(v): m for v, m in b.items()}.get
+    zeros = repeat(0)
     out: dict[Weight, int] = {}
-    for w in dominant_weights_below(rs, add_weights(lam, nu)):
-        c = sum(m * b.get(tuple(map(operator.sub, w, u)), 0) for u, m in a.items())
+    for w in top:
+        c = sum(map(operator.mul, mult_a, map(get_b, map(pack(w).__sub__, packed_a), zeros)))
         if c:
             out[w] = c
     return out
+
+
+def _max_abs(weights) -> int:
+    return max(map(abs, chain.from_iterable(weights)))
 
 
 def check_tensor_vs_product_rank2() -> CheckResult:
@@ -406,24 +435,15 @@ def check_root_sum_decompositions() -> CheckResult:
     for label in labels:
         rs = build_root_system(label)
         coords = {r.coords for r in rs.positive_roots}
+        # gamma must have coordinate 1 at node j in both splits; the rest
+        # then has 1 there when beta has 2, and 0 when beta has 1.
+        at_node = [[g for g in coords if g[j] == 1] for j in range(rs.rank)]
         for beta in coords:
             for j in range(rs.rank):
-                if beta[j] == 2:
-                    if not any(
-                        gamma[j] == 1
-                        and tuple(b - g for b, g in zip(beta, gamma)) in coords
-                        and beta[j] - gamma[j] == 1
-                        for gamma in coords
-                    ):
-                        return _fail(name, f"{label}: no 1+1 split of {beta} at node {j + 1}")
-                elif beta[j] == 1 and sum(beta) > 1:
-                    if not any(
-                        gamma[j] == 1
-                        and (rest := tuple(b - g for b, g in zip(beta, gamma))) in coords
-                        and rest[j] == 0
-                        for gamma in coords
-                    ):
-                        return _fail(name, f"{label}: no 0+1 split of {beta} at node {j + 1}")
+                if beta[j] == 2 or (beta[j] == 1 and sum(beta) > 1):
+                    if not any(sub_weights(beta, g) in coords for g in at_node[j]):
+                        split = "1+1" if beta[j] == 2 else "0+1"
+                        return _fail(name, f"{label}: no {split} split of {beta} at node {j + 1}")
     return _ok(name, "exhaustive, classical rank <= 8")
 
 
@@ -486,13 +506,16 @@ SUITES = {
 }
 
 
-def run_suite(suite: str) -> list[CheckResult]:
+def run_suite(suite: str) -> list[tuple[CheckResult, float]]:
+    """Each check's result with its elapsed wall time in seconds, in order."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; expected one of {sorted(SUITES)}")
     results = []
     for check in SUITES[suite]:
+        start = time.perf_counter()
         try:
-            results.append(check())
+            res = check()
         except Exception as exc:  # one broken check must not stop the suite
-            results.append(_fail(check.__name__, f"{type(exc).__name__}: {exc}"))
+            res = _fail(check.__name__, f"{type(exc).__name__}: {exc}")
+        results.append((res, time.perf_counter() - start))
     return results

@@ -137,3 +137,49 @@ def test_tensor_check_catches_a_dimension_preserving_edit(monkeypatch):
     monkeypatch.setattr(verify, "tensor_decompose", edited)
     result = verify.check_tensor_vs_product_rank2()
     assert (result.ok, result.detail) == (False, "A2: (0, 1) (x) (1, 0)")
+
+
+def test_packed_convolution_agrees_with_the_full_product_beyond_rank2():
+    # The rank-2 check never needs a large packing base; here the weights of
+    # rank 3 and 4 make every box bound, and so every base, larger.
+    import random
+    from itertools import product
+
+    from krchar.repchar import freudenthal
+    from krchar.rootsys import build_root_system
+
+    rng = random.Random(20251019)
+    count = 0
+    for label in ("A3", "A4", "B3", "B4", "C3", "C4", "D4"):
+        rs = build_root_system(label)
+        weights = [w for w in product(range(3), repeat=rs.rank) if 0 < sum(w) <= 2]
+        chars = {}
+        for _ in range(12):
+            lam, nu = rng.choice(weights), rng.choice(weights)
+            product_char = freudenthal(rs, lam) * freudenthal(rs, nu)
+            dominant = {w: m for w, m in product_char.entries.items() if rs.is_dominant(w)}
+            assert verify._dominant_product(rs, lam, nu, chars) == dominant, (label, lam, nu)
+            count += 1
+    assert count == 84
+
+
+def test_root_sum_check_fails_when_a_root_is_missing(monkeypatch):
+    # Without alpha_1 + alpha_2, B2's highest root alpha_1 + 2 alpha_2 has no
+    # split into two roots at either node.
+    import re
+    import types
+
+    from krchar.rootsys import build_root_system
+
+    def stripped(label):
+        rs = build_root_system(label)
+        if label != "B2":
+            return rs
+        drop = next(r for r in rs.positive_roots if sum(r.coords) == 2)
+        return types.SimpleNamespace(
+            rank=rs.rank, positive_roots=[r for r in rs.positive_roots if r is not drop])
+
+    monkeypatch.setattr(verify, "build_root_system", stripped)
+    result = verify.check_root_sum_decompositions()
+    assert result.ok is False
+    assert re.fullmatch(r"B2: no [01]\+1 split of \(1, 2\) at node [12]", result.detail), result

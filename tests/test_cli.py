@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -457,6 +458,19 @@ def test_verify_raising_check_fails_and_suite_goes_on(monkeypatch, capsys):
     assert "1/2 checks passed" in out
 
 
+def test_verify_times_each_check_on_stderr_and_keeps_its_report(capsys):
+    # stdout is the report CI pins by sha256; stderr has one "name seconds"
+    # line per check, in the order the report lists them.
+    assert main(["verify", "--suite", "all"]) == 0
+    captured = capsys.readouterr()
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == (
+        "14458f3eed0d26dc076acc7cf782c6eca0e8b213c741c8884ef74a264161303a")
+    names = [line.split()[1] for line in captured.out.splitlines()[:-1]]
+    timed = [re.fullmatch(r"(\S+) (\d+\.\d{3})", line) for line in captured.err.splitlines()]
+    assert all(timed) and [m[1] for m in timed] == names
+    assert len(names) == 16
+
+
 # -- JSON round trips over the shared matrix -----------------------------------------
 # No command reads a document back; each test rebuilds the object from the
 # document to check that the writer loses nothing.
@@ -593,7 +607,8 @@ def test_verify_neither_reads_nor_rewrites_the_store(tmp_path, monkeypatch, caps
     monkeypatch.setitem(verify_mod.SUITES, "identities",
                         [verify_mod.check_tensor_vs_product_rank2])
     code, out, err = _cold_run(capsys, ["verify", "--suite", "identities"])
-    assert (code, err) == (0, "")
+    assert code == 0
+    assert re.fullmatch(r"tensor-vs-character-product-rank2 \d+\.\d{3}\n", err)  # no store warning
     assert out.endswith("1/1 checks passed\n")
     assert path.read_bytes() == data
 

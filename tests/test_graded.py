@@ -28,6 +28,7 @@ from krchar.repchar import (
     IsoChar,
     ModuleSpec,
     c_coefficient,
+    clear_memo_caches,
     freudenthal,
     sym_coefficient,
     tensor_decompose,
@@ -377,6 +378,23 @@ def test_the_two_weight_refusal_messages():
     with pytest.raises(ValueError, match=r"^source weight \[0, -1, 0, 0\] is not dominant$"):
         ext_dim(D4, ModuleSpec.adjoint(D4, 1), LambdaPoint((0, -1, 0, 0), (0,)),
                 LambdaPoint((0, 0, 0, 0), (1,)), 1)
+
+
+@pytest.mark.parametrize("coefficient", [sym_coefficient, c_coefficient],
+                         ids=["sym_coefficient", "c_coefficient"])
+def test_a_float_layer_weight_is_refused_cold_and_warm(coefficient):
+    # The memo keys hash 1.0 like 1, so the layer weights are checked before
+    # any lookup; a warm integer spec must not answer for the float one.
+    floats = tuple(float(c) for c in D4.highest_root.weight)
+    spec = ModuleSpec(((floats,), (floats,)))
+    args = ((0, 1, 0, 0), (0, 1, 0, 0), (1, 1))
+    message = r"^weight \[0\.0, 1\.0, 0\.0, 0\.0\] has a coordinate that is not an integer$"
+    clear_memo_caches()
+    with pytest.raises(ValueError, match=message):
+        coefficient(D4, spec, *args)
+    assert coefficient(D4, ModuleSpec.adjoint(D4, 2), *args) == 7
+    with pytest.raises(ValueError, match=message):
+        coefficient(D4, spec, *args)
 
 
 def test_the_degree_and_ell_refusal_messages():
