@@ -4,13 +4,10 @@ cross-checking each other."""
 
 from .graded import (
     GradedChar,
-    MonomialMatrix,
     ext_dim,
     gch_N,
     gch_P_direct,
     gch_P_recursive,
-    matrix_A,
-    matrix_E,
     multiplicity_ell_profile,
     verify_AE_identity,
     verify_alternating_sum,
@@ -64,15 +61,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GammaSet", "GradedChar", "IsoChar", "LambdaPoint", "LieType",
-    "ModuleSpec", "MonomialMatrix", "PsiSet", "RootSystem", "TensorCache",
-    "Weight", "WeightChar", "active_tensor_cache", "adjoint_char",
+    "ModuleSpec", "PsiSet", "RootSystem", "TensorCache", "Weight",
+    "WeightChar", "active_tensor_cache", "adjoint_char",
     "build_root_system", "c_coefficient", "cache_load", "cache_store",
     "check_polytope_condition", "check_psi_extra", "checked_psi",
     "clear_memo_caches", "d_psi", "dominant_multiplicities", "ext_dim",
     "ext_power", "freudenthal", "gamma_psi", "gch_N", "gch_P_direct",
     "gch_P_recursive", "i_lambda", "integral_root_coords", "iso_decompose",
-    "leq_psi", "matrix_A", "matrix_E", "multiplicity_ell_profile",
-    "omega_weight", "parse_lie_type", "psi_i", "psi_lambda", "psi_of_mu",
+    "leq_psi", "multiplicity_ell_profile", "omega_weight",
+    "parse_lie_type", "psi_i", "psi_lambda", "psi_of_mu",
     "set_active_tensor_cache", "sym_coefficient", "sym_power",
     "tensor_decompose", "verify_AE_identity", "verify_alternating_sum",
     "weyl_dim",

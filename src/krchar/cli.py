@@ -359,6 +359,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (OverflowError, MemoryError) as exc:  # an oversized rank or ell
+        print(f"error: input too large to compute: {str(exc) or type(exc).__name__}",
+              file=sys.stderr)
+        return 2
     except AssertionError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3

@@ -139,6 +139,28 @@ def test_internal_error_exit_code(monkeypatch, capsys):
     assert err == "internal error: negative multiplicity from Racah-Speiser\n"
 
 
+def test_an_ell_past_the_index_range_exits_2(capsys):
+    # ell is a valid integer, but no tuple of ell layers can be built.
+    assert main(["gch", "--algebra", "D4", "--weight", "0,1,0,0",
+                 "--ell", "9999999999999999999999"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: input too large to compute: ") and err.count("\n") == 1
+
+
+def test_running_out_of_memory_exits_2(monkeypatch, capsys):
+    # Stands in for an oversized --ell or rank: building one for real would
+    # fill memory first.
+    import krchar.cli as cli_mod
+
+    def out_of_memory(rs, lam, nu):
+        raise MemoryError
+
+    monkeypatch.setattr(cli_mod, "tensor_decompose", out_of_memory)
+    assert main(["tensor", "--algebra", "A1", "--weight", "1", "--weight", "1"]) == 2
+    assert capsys.readouterr() == ("", "error: input too large to compute: MemoryError\n")
+
+
 @pytest.fixture
 def fresh_memo():
     # Faults injected into the Hom fold only show on entries not memoised yet.

@@ -8,8 +8,6 @@ from krchar.graded import (
     gch_N,
     gch_P_direct,
     gch_P_recursive,
-    matrix_A,
-    matrix_E,
     multiplicity_ell_profile,
     verify_AE_identity,
     verify_alternating_sum,
@@ -105,32 +103,33 @@ def test_ext_dim_rejects_non_dominant_weights():
             ext_dim(D4, ms, a, b, 0)
 
 
-# -- matrices ----------------------------------------------------------------------
+# -- the columns of A(t) and E(t) ----------------------------------------------------
+# Entry (i, j) of E(t) is ext_dim from point j to point i; column j of A(t) is
+# the projective character gch_P_direct at point j.
 
 def test_matrices_singleton():
+    ms = ModuleSpec.adjoint(D4, 1)
     base, gamma = _gamma(D4, 1, omega_weight(4, (1, 2)), 1)
-    E = matrix_E(D4, ModuleSpec.adjoint(D4, 1), gamma)
-    A = matrix_A(D4, ModuleSpec.adjoint(D4, 1), gamma)
-    assert E.size == A.size == 1
-    assert E.entries[0][0] == 1
-    assert A.entries[0][0] == 1
+    assert len(gamma.points) == 1
+    assert ext_dim(D4, ms, base, base, 0) == 1
+    assert gch_P_direct(D4, ms, base, gamma) == GradedChar({base: 1})
 
 
 def test_matrix_E_d4_kr_entries_match_tensor_oracle():
     ms = ModuleSpec.adjoint(D4, 1)
     base, gamma = _gamma(D4, 2, omega_weight(4, (2, 2)), 1)
-    E = matrix_E(D4, ms, gamma)
-    assert E.size == 3
+    points = gamma.points
+    assert len(points) == 3
     theta = D4.highest_root.weight
-    for row in range(3):
-        assert E.entries[row][row] == 1
+    for point in points:
+        assert ext_dim(D4, ms, point, point, 0) == 1
     # Subdiagonal entries are multiplicities inside adjoint (x) V(k omega_2).
     for col, m in ((0, 2), (1, 1)):
         lam = omega_weight(4, (2, m))
         mu = omega_weight(4, (2, m - 1))
         oracle = tensor_decompose(D4, theta, lam)[mu]
-        assert E.entries[col + 1][col] == oracle
-    assert E.entries[1][0] and E.entries[2][1]
+        assert ext_dim(D4, ms, points[col], points[col + 1], 1) == oracle
+    assert ext_dim(D4, ms, points[0], points[1], 1) and ext_dim(D4, ms, points[1], points[2], 1)
 
 
 def test_matrix_A_a1_face_of_omega1():
@@ -140,19 +139,20 @@ def test_matrix_A_a1_face_of_omega1():
     base = LambdaPoint((2,), (0,))
     gamma = gamma_psi(A1, psi, base, 1)
     assert [p.weight for p in gamma.points] == [(2,), (0,)]
-    A = matrix_A(A1, ModuleSpec.adjoint(A1, 1), gamma)
-    assert A.entries[1][0] == 1  # Hom(Sym^1 g (x) V(2), V(0)) = 1
-    assert A.entries[0][0] == A.entries[1][1] == 1
-    ok, detail = verify_AE_identity(A1, ModuleSpec.adjoint(A1, 1), gamma)
+    top, bottom = gamma.points
+    ms = ModuleSpec.adjoint(A1, 1)
+    # Hom(Sym^1 g (x) V(2), V(0)) = 1
+    assert gch_P_direct(A1, ms, top, gamma) == GradedChar({top: 1, bottom: 1})
+    assert gch_P_direct(A1, ms, bottom, gamma) == GradedChar({bottom: 1})
+    ok, detail = verify_AE_identity(A1, ms, gamma)
     assert ok, detail
 
 
 def test_matrix_A_d4_unit_diagonal():
     ms = ModuleSpec.adjoint(D4, 2)
     base, gamma = _gamma(D4, 2, omega_weight(4, (2, 2)), 2)
-    A = matrix_A(D4, ms, gamma)
-    for i in range(A.size):
-        assert A.entries[i][i] == 1
+    for point in gamma.points:
+        assert gch_P_direct(D4, ms, point, gamma).entries[point] == 1
 
 
 @pytest.mark.parametrize("rs,node,lam,ell", [
@@ -169,12 +169,12 @@ def test_ae_identity(rs, node, lam, ell):
 def test_matrix_A_entries_are_gap_monomials():
     ms = ModuleSpec.adjoint(D4, 2)
     base, gamma = _gamma(D4, 2, omega_weight(4, (2, 2)), 2)
-    A = matrix_A(D4, ms, gamma)
-    for i, (mu, s) in enumerate(gamma.points):
-        for j, (lam, r) in enumerate(gamma.points):
+    for lam, r in gamma.points:
+        column = gch_P_direct(D4, ms, LambdaPoint(lam, r), gamma)
+        for mu, s in gamma.points:
             gap = tuple(a - b for a, b in zip(s, r))
             v = sym_coefficient(D4, ms, lam, mu, gap) if min(gap) >= 0 else 0
-            assert A.entries[i][j] == v
+            assert column.entries.get((mu, s), 0) == v
 
 
 def _add_one_at(monkeypatch, name, at):
@@ -193,10 +193,34 @@ def test_ae_identity_names_a_wrong_entry(monkeypatch):
     base, gamma = _gamma(D4, 2, omega_weight(4, (2, 2)), 2)
     below = gamma.points[1]
     gap = below.degree  # the base sits at degree zero
-    _add_one_at(monkeypatch, "sym_coefficient", (base.weight, below.weight, gap))
-    ok, detail = verify_AE_identity(D4, ms, gamma)
-    assert not ok
-    assert detail == f"entry ({below}, {base}) = {{{gap}: 1}}"
+    cases = [
+        # A wrong projective multiplicity in the base column.
+        ("sym_coefficient", (base.weight, below.weight, gap),
+         f"entry ({below}, {base}) = {{{gap}: 1}}", False),
+        # A wrong Ext dimension in a column other than the base's: the
+        # alternating sum at the base never reads it.
+        ("c_coefficient", ((0, 1, 0, 0), (0, 0, 0, 0), (0, 1)),
+         "entry (LambdaPoint(weight=(0, 0, 0, 0), degree=(0, 2)), "
+         "LambdaPoint(weight=(0, 1, 0, 0), degree=(0, 1))) = {(0, 1): -1}", True),
+    ]
+    for name, at, entry, alternating_ok in cases:
+        with monkeypatch.context() as patch:
+            _add_one_at(patch, name, at)
+            ok, detail = verify_AE_identity(D4, ms, gamma)
+            assert not ok
+            assert detail == entry
+            assert verify_alternating_sum(D4, ms, base, gamma)[0] is alternating_ok
+
+
+@pytest.mark.parametrize("name", ["c_coefficient", "sym_coefficient"])
+def test_a_diagonal_entry_other_than_one_is_an_internal_error(monkeypatch, name):
+    ms = ModuleSpec.adjoint(D4, 2)
+    base, gamma = _gamma(D4, 2, omega_weight(4, (2, 2)), 2)
+    _add_one_at(monkeypatch, name, (base.weight, base.weight, base.degree))
+    with pytest.raises(AssertionError, match=r"^matrix is not unitriangular$"):
+        verify_AE_identity(D4, ms, gamma)
+    with pytest.raises(AssertionError, match=r"^matrix is not unitriangular$"):
+        verify_alternating_sum(D4, ms, base, gamma)
 
 
 @pytest.mark.parametrize("name,value", [("c_coefficient", -1), ("sym_coefficient", 1)],

@@ -476,7 +476,7 @@ def test_coefficients_with_unequal_components():
 def test_coefficients_match_the_iso_decompose_route_on_the_acceptance_matrix():
     # The superseded route to every coefficient: peel the power product into
     # simples with iso_decompose, then tensor each simple with V(lam).  It is
-    # checked at every (lam, mu, k) that matrix_A and matrix_E evaluate, for
+    # checked at every (lam, mu, k) that the columns of A(t) and E(t) read, for
     # every gamma set of the acceptance matrix.
     peeled, old = {}, {}
     checked = 0
