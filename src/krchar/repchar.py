@@ -7,8 +7,9 @@ two simples, and the graded Hom coefficients, which one memoised recursion
 folds into V(lam) by Newton's identity on Adams operations, so no power is
 ever built.  The power DP, the convolution of two WeightChars and
 ``iso_decompose`` are kept only as independent oracles for the tests;
-``verify`` compares tensor products at dominant weights and peels nothing
-into simples.  All intermediate characters may be virtual (signed);
+``verify`` reads simple multiplicities off a product's dominant
+multiplicities through the Weyl numerator and builds no constituent's
+character.  All intermediate characters may be virtual (signed);
 genuineness is asserted only where a result promises an actual module.
 """
 
@@ -31,6 +32,7 @@ from .rootsys import (
     require_degree,
     require_dominant,
     require_ell,
+    stabilizer_orbits,
     weyl_dim,
 )
 
@@ -245,9 +247,14 @@ def dominant_multiplicities(rs: RootSystem, lam) -> Mapping[Weight, int]:
     Freudenthal's formula is evaluated on the dominant weights only, from the
     top down (Moody-Patera, Bull. AMS 7, 1982): each m(mu + k beta) is read at
     the dominant conjugate of mu + k beta, which lies strictly above mu and is
-    therefore already known.  Strings of different mu meet, so each string
-    weight is descended once per call and its conjugate kept until the call
-    returns.  Everything is plain integer arithmetic.
+    therefore already known.  The stabilizer of mu permutes the root strings
+    through mu and keeps their terms, and the string of a root orthogonal to
+    mu gives what the string of its negative does, so one string is walked
+    per orbit of ``stabilizer_orbits``, counted once for each root (of
+    either sign) the orbit and its negative hold.  Strings of different mu
+    meet, so each string weight is descended once per call and its
+    conjugate kept until the call returns.  Everything is plain integer
+    arithmetic.
     """
     lam = require_dominant(rs, lam)  # before the lookup: 1.0 would hit the key of 1
     key = (rs.lie_type, lam)
@@ -262,12 +269,14 @@ def dominant_multiplicities(rs: RootSystem, lam) -> Mapping[Weight, int]:
         if mu == lam:
             mults[mu] = 1
             continue
-        acc = 0
-        for root in rs.positive_roots:
+        num = 0
+        zeros = tuple(i for i, c in enumerate(mu) if not c)
+        for root, count in stabilizer_orbits(rs.lie_type, zeros):
             rw = root.weight
             pair = sum(map(operator.mul, root.md, mu))
             step = 2 * root.half_norm
             k = 1
+            acc = 0
             x = tuple(map(operator.add, mu, rw))
             while True:
                 dom = conjugate.get(x)
@@ -279,8 +288,8 @@ def dominant_multiplicities(rs: RootSystem, lam) -> Mapping[Weight, int]:
                 acc += mx * (pair + k * step)
                 k += 1
                 x = tuple(map(operator.add, x, rw))
+            num += count * acc
         den = sum(off[i] * d[i] * (lam[i] + mu[i] + 2) for i in range(n))
-        num = 2 * acc
         if den <= 0 or num % den:
             raise AssertionError(f"Freudenthal division failed at {mu}")
         m = num // den

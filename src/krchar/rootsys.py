@@ -220,6 +220,46 @@ def _cached_root_system(t: LieType) -> RootSystem:
     return RootSystem(t)
 
 
+@lru_cache(maxsize=None)
+def stabilizer_orbits(t: LieType, zeros: tuple[int, ...]) -> tuple[tuple[PositiveRoot, int], ...]:
+    """One positive root from each orbit of W_Z = <s_j : j in zeros> on the
+    roots up to sign, with the number of roots in that orbit and its negative.
+
+    For a dominant mu with zero coordinates Z, W_Z is the stabilizer of mu.
+    It maps a positive root beta with (mu, beta) > 0 to another (the pairing
+    is kept and is positive only on positive roots), so the orbit and its
+    negative are disjoint, 2|O| roots.  A root orthogonal to mu lies in the
+    subsystem of Z and s_beta sends it to its negative in the same orbit, so
+    the orbit holds |O| roots.  The counts add up to 2|positive roots|.  Kept
+    per (type, zeros) like the root systems: it is root-system data, and
+    computed only for the zero sets a caller meets.
+    """
+    rs = _cached_root_system(t)
+    rows = rs.cartan_rows
+    seen: set[Weight] = set()
+    out = []
+    for root in rs.positive_roots:
+        if root.weight in seen:
+            continue
+        orbit = {root.weight}
+        walk = [root.weight]
+        for x in walk:  # grows as new roots are found
+            for j in zeros:
+                c = x[j]
+                if c:
+                    y = list(x)
+                    for k, a in rows[j]:
+                        y[k] -= c * a
+                    y = tuple(y)
+                    if y not in orbit:
+                        orbit.add(y)
+                        walk.append(y)
+        seen.update(orbit)
+        negative = tuple(-c for c in root.weight)
+        out.append((root, len(orbit) if negative in orbit else 2 * len(orbit)))
+    return tuple(out)
+
+
 def build_root_system(t: LieType | str) -> RootSystem:
     """Return the (shared, immutable) root system for a classical type."""
     if isinstance(t, str):

@@ -35,16 +35,15 @@ from .poset import (
     psi_lambda,
 )
 from .repchar import (
-    IsoChar,
     ModuleSpec,
     adjoint_char,
-    dominant_multiplicities,
     freudenthal,
     tensor_decompose,
 )
 from .rootsys import (
     LieType,
     Weight,
+    _descend,
     add_weights,
     build_root_system,
     dominant_weights_below,
@@ -325,26 +324,68 @@ def _rank2_pairs() -> Iterator[tuple]:
                     yield label, rs, lam, nu
 
 
-def _dominant_part(rs, iso: IsoChar) -> dict[Weight, int]:
-    """Multiplicities of the module sum m V(mu) at its dominant weights."""
+def _weyl_shifts(rs) -> tuple[tuple[Weight, int], ...]:
+    """(rho - w rho, sgn w) for every element w of the Weyl group.
+
+    rho = (1, ..., 1) is regular, so w -> w rho is a bijection from W onto
+    the orbit of rho, which a breadth-first walk by simple reflections
+    lists; each reflection changes the length of w by one, and so its sign.
+    """
+    rows = rs.cartan_rows
+    rho = (1,) * rs.rank
+    sign = {rho: 1}
+    walk = [rho]
+    for x in walk:  # grows as new orbit points are found
+        for i, c in enumerate(x):
+            y = list(x)
+            for j, a in rows[i]:
+                y[j] -= c * a
+            y = tuple(y)
+            if y not in sign:
+                sign[y] = -sign[x]
+                walk.append(y)
+    return tuple((sub_weights(rho, x), s) for x, s in sign.items())
+
+
+def _weyl_numerator(rs, product: dict[Weight, int], shifts, conjugates: dict) -> dict[Weight, int]:
+    """Simple multiplicities N_mu of a module from its multiplicities
+    ``product`` at its dominant weights, by the Weyl character formula.
+
+    Multiplying the character by the Weyl denominator, the sum over w of
+    sgn(w) e^(w rho), gives the sum of N_mu times the alternating sums over w
+    of sgn(w) e^(w(mu + rho)).  Of these only e^(mu + rho) itself is strictly
+    dominant, so N_mu is the coefficient of e^(mu + rho): the sum over w of
+    sgn(w) P(mu + rho - w rho), with P read at the dominant conjugate, since
+    the character is Weyl-invariant.  V(mu) occurs only when mu is a weight,
+    so only the mu with P(mu) != 0 are tried.  ``shifts`` is the table
+    of :func:`_weyl_shifts`; ``conjugates`` maps mu to the dominant
+    conjugates of the mu + rho - w rho, in the order of ``shifts``, and is
+    filled here, so a check that shares it descends each of them once.
+    """
+    shifts, signs = zip(*shifts)
+    get = product.get
+    zeros = repeat(0)
     out: dict[Weight, int] = {}
-    for mu, m in iso.entries.items():
-        for w, k in dominant_multiplicities(rs, mu).items():
-            out[w] = out.get(w, 0) + m * k
+    for mu in product:
+        doms = conjugates.get(mu)
+        if doms is None:
+            doms = conjugates[mu] = [_descend(rs, add_weights(mu, shift))[0] for shift in shifts]
+        n = sum(map(operator.mul, signs, map(get, doms, zeros)))
+        if n:
+            out[mu] = n
     return out
 
 
-def _dominant_product(rs, lam, nu, chars: dict) -> dict[Weight, int]:
+def _dominant_product(rs, lam, nu, chars: dict, top) -> dict[Weight, int]:
     """Multiplicities of V(lam) (x) V(nu) at its dominant weights, each the
     convolution sum over u of m_lam(u) m_nu(w - u) of the two full characters.
 
     ``chars`` maps (type, weight) to the entries of the weight's full
     character and is filled here, so a check that shares it builds each
     factor once.  Every weight of the product lies below lam + nu, so its
-    dominant weights are among those of V(lam + nu): the keys of
-    ``dominant_multiplicities(lam + nu)``, which the check's other side has
-    already memoised, since V(lam + nu) occurs in every such product.  No
-    reflection is used.
+    dominant weights are among those of V(lam + nu), the weights ``top``
+    that ``dominant_weights_below(lam + nu)`` lists without any
+    multiplicity.  No reflection is used.
 
     Weights are packed into integers, pack(x) = sum of x_i M^i in balanced
     base M = 2B + 1, where B bounds |coordinate| over the weights of V(nu)
@@ -359,7 +400,6 @@ def _dominant_product(rs, lam, nu, chars: dict) -> dict[Weight, int]:
         if (rs.lie_type, x) not in chars:
             chars[rs.lie_type, x] = freudenthal(rs, x).entries
     a, b = chars[rs.lie_type, lam], chars[rs.lie_type, nu]
-    top = dominant_multiplicities(rs, add_weights(lam, nu))
     bound = max(_max_abs(b), max(map(max, top)) + _max_abs(a))
     powers = [(2 * bound + 1) ** i for i in range(rs.rank)]
 
@@ -383,18 +423,29 @@ def _max_abs(weights) -> int:
 
 
 def check_tensor_vs_product_rank2() -> CheckResult:
-    """Racah-Speiser against the character product, at dominant weights.
+    """Racah-Speiser against the character product, in simple multiplicities.
 
-    Both sides are Weyl-invariant characters, and two of those are equal
-    exactly when they agree at every dominant weight; so no peeling into
-    simples is needed.
+    The product's multiplicities at its dominant weights determine its
+    simple multiplicities through the Weyl numerator, so no constituent's
+    character is computed.  The check builds the Weyl group table once per
+    type, lists the dominant weights below each lam + nu once, and descends
+    each weight the inversion reads once per type.
     """
     name = "tensor-vs-character-product-rank2"
     count = 0
     chars: dict = {}
+    tops: dict = {}
+    shifts: dict = {}
+    conjugates: dict = {}
     for label, rs, lam, nu in _rank2_pairs():
-        simples = tensor_decompose(rs, lam, nu)
-        if _dominant_part(rs, simples) != _dominant_product(rs, lam, nu, chars):
+        if label not in shifts:
+            shifts[label], conjugates[label] = _weyl_shifts(rs), {}
+        key = (label, add_weights(lam, nu))
+        if key not in tops:
+            tops[key] = dominant_weights_below(rs, key[1])
+        product = _dominant_product(rs, lam, nu, chars, tops[key])
+        simples = _weyl_numerator(rs, product, shifts[label], conjugates[label])
+        if simples != tensor_decompose(rs, lam, nu).entries:
             return _fail(name, f"{label}: {lam} (x) {nu}")
         count += 1
     return _ok(name, f"{count} pairs")

@@ -107,21 +107,37 @@ def test_matrix_checks_report_the_failing_triple(monkeypatch):
 
 
 def test_dominant_weight_oracle_agrees_with_the_peel_on_every_rank2_pair():
-    # The tensor check compares Weyl-invariant characters at dominant weights.
-    # On each of its pairs, its convolution must be the dominant part of the
-    # full character product, and peeling that product into simples must give
-    # the Racah-Speiser result, which was the check's earlier verdict.
-    from krchar.repchar import freudenthal, iso_decompose, tensor_decompose
+    # On each pair of the tensor check, its convolution must be the dominant
+    # part of the full character product, and the Weyl-numerator inversion
+    # of it must be the peel of that product into simples.
+    from krchar.repchar import freudenthal, iso_decompose
+    from krchar.rootsys import add_weights, dominant_weights_below
 
     count = 0
-    chars = {}
+    chars, shifts, conjugates = {}, {}, {}
     for label, rs, lam, nu in verify._rank2_pairs():
+        if label not in shifts:
+            shifts[label], conjugates[label] = verify._weyl_shifts(rs), {}
         product = freudenthal(rs, lam) * freudenthal(rs, nu)
         dominant = {w: m for w, m in product.entries.items() if rs.is_dominant(w)}
-        assert verify._dominant_product(rs, lam, nu, chars) == dominant, (label, lam, nu)
-        assert iso_decompose(rs, product) == tensor_decompose(rs, lam, nu), (label, lam, nu)
+        top = dominant_weights_below(rs, add_weights(lam, nu))
+        assert verify._dominant_product(rs, lam, nu, chars, top) == dominant, (label, lam, nu)
+        simples = verify._weyl_numerator(rs, dominant, shifts[label], conjugates[label])
+        assert simples == iso_decompose(rs, product).entries, (label, lam, nu)
         count += 1
     assert count == 418
+
+
+def test_weyl_group_table_of_each_rank2_type():
+    # |W| = 2, 6, 8, 8; the signs of W sum to 0 and w -> rho - w rho is injective.
+    from krchar.rootsys import build_root_system
+
+    for label, order in (("A1", 2), ("A2", 6), ("B2", 8), ("C2", 8)):
+        table = verify._weyl_shifts(build_root_system(label))
+        assert len(table) == order, label
+        assert sum(sign for _, sign in table) == 0, label
+        assert len({shift for shift, _ in table}) == order, label
+        assert table[0] == ((0,) * len(table[0][0]), 1), label
 
 
 def test_tensor_check_catches_a_dimension_preserving_edit(monkeypatch):
@@ -146,7 +162,7 @@ def test_packed_convolution_agrees_with_the_full_product_beyond_rank2():
     from itertools import product
 
     from krchar.repchar import freudenthal
-    from krchar.rootsys import build_root_system
+    from krchar.rootsys import add_weights, build_root_system, dominant_weights_below
 
     rng = random.Random(20251019)
     count = 0
@@ -158,7 +174,8 @@ def test_packed_convolution_agrees_with_the_full_product_beyond_rank2():
             lam, nu = rng.choice(weights), rng.choice(weights)
             product_char = freudenthal(rs, lam) * freudenthal(rs, nu)
             dominant = {w: m for w, m in product_char.entries.items() if rs.is_dominant(w)}
-            assert verify._dominant_product(rs, lam, nu, chars) == dominant, (label, lam, nu)
+            top = dominant_weights_below(rs, add_weights(lam, nu))
+            assert verify._dominant_product(rs, lam, nu, chars, top) == dominant, (label, lam, nu)
             count += 1
     assert count == 84
 

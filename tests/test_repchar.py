@@ -30,7 +30,14 @@ from krchar.repchar import (
     tensor_decompose,
 )
 from krchar.poset import LambdaPoint, gamma_psi, psi_lambda
-from krchar.rootsys import _descend, build_root_system, omega_weight, weyl_dim
+from krchar.rootsys import (
+    _descend,
+    build_root_system,
+    dominant_weights_below,
+    omega_weight,
+    stabilizer_orbits,
+    weyl_dim,
+)
 from krchar.verify import acceptance_matrix
 
 A1 = build_root_system("A1")
@@ -177,6 +184,62 @@ def test_dominant_multiplicities_up_to_rank_five_are_pinned():
     assert count == 180
     assert digest.hexdigest() == (
         "f810897a0369d787119ec26cb033e17ccf772ebff33ed76ef6934d7f3a914af3")
+
+
+def _full_root_sum_multiplicities(rs, lam):
+    """Reference: Freudenthal's formula summed over every positive root, the
+    way dominant_multiplicities ran before the stabilizer-orbit reduction."""
+    mults, conjugate = {}, {}
+    for mu, off in dominant_weights_below(rs, lam).items():
+        if mu == lam:
+            mults[mu] = 1
+            continue
+        acc = 0
+        for root in rs.positive_roots:
+            pair = sum(m * c for m, c in zip(root.md, mu))
+            k, x = 1, tuple(a + b for a, b in zip(mu, root.weight))
+            while True:
+                if x not in conjugate:
+                    conjugate[x] = _descend(rs, x)[0]
+                if conjugate[x] not in mults:
+                    break
+                acc += mults[conjugate[x]] * (pair + 2 * k * root.half_norm)
+                k += 1
+                x = tuple(a + b for a, b in zip(x, root.weight))
+        den = sum(o * d * (a + b + 2) for o, d, a, b in zip(off, rs.half_lengths, lam, mu))
+        q, r = divmod(2 * acc, den)
+        assert r == 0 and q > 0, (lam, mu)
+        mults[mu] = q
+    return mults
+
+
+CLASSICAL_UP_TO_RANK_8 = ([f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
+                          + [f"C{n}" for n in range(2, 9)] + [f"D{n}" for n in range(4, 9)])
+
+
+@pytest.mark.parametrize("label", CLASSICAL_UP_TO_RANK_8)
+def test_stabilizer_orbit_freudenthal_matches_the_full_root_sum(label):
+    # Seeded weights with one or two nonzero coordinates, so their dominant
+    # weights have many zeros and large stabilizers; the same multiplicities
+    # in the same order, and for every zero-node set met the orbit counts
+    # cover each root once: they add up to 2|positive roots|.
+    rs = build_root_system(label)
+    rng = random.Random(f"stabilizer orbits {label}")
+    zero_sets = set()
+    for _ in range(5):
+        lam = [0] * rs.rank
+        for node in rng.sample(range(rs.rank), min(rs.rank, rng.randint(1, 2))):
+            lam[node] = rng.randint(1, 2)
+        lam = tuple(lam)
+        clear_memo_caches()
+        got = dominant_multiplicities(rs, lam)
+        assert list(got.items()) == list(_full_root_sum_multiplicities(rs, lam).items()), lam
+        zero_sets.update(tuple(i for i, c in enumerate(mu) if not c) for mu in got)
+    assert len(zero_sets) > 1
+    for zeros in zero_sets:
+        orbits = stabilizer_orbits(rs.lie_type, zeros)
+        assert sum(count for _, count in orbits) == 2 * len(rs.positive_roots), zeros
+        assert len({root for root, _ in orbits}) == len(orbits)
 
 
 def test_dominant_multiplicities_subset():
@@ -506,6 +569,47 @@ def test_coefficients_match_the_iso_decompose_route_on_the_acceptance_matrix():
                         (rs.lie_type, lam, mu, k, coefficient.__name__)
                     checked += 1
     assert checked > 2000
+
+
+NOT_SELF_DUAL_LAYERS = (("A3", (1, 3)), ("A4", (2, 1)), ("D5", (5, 2)))
+
+
+def test_coefficients_on_layers_that_are_not_self_dual():
+    # Two layers V(omega_a), V(omega_b) that are not self-dual (the adjoint
+    # layer is, so a lost dual would not show on it), every degree vector of
+    # total 1 to 3 and every dominant mu below the top weight.  With lam = 0,
+    # omega_1 or omega_n each coefficient is checked against the peel of the
+    # whole product of power characters; the other fundamental lams, where
+    # that oracle takes seconds, are pinned by one sha256 (checked against
+    # the same oracle when pinned).
+    digest = hashlib.sha256()
+    checked = pinned = 0
+    for label, (a, b) in NOT_SELF_DUAL_LAYERS:
+        rs = build_root_system(label)
+        n = rs.rank
+        w1, w2 = omega_weight(n, (a, 1)), omega_weight(n, (b, 1))
+        ms = ModuleSpec(((w1,), (w2,)))
+        degrees = [(i, j) for i in range(4) for j in range(4) if 1 <= i + j <= 3]
+        lams = [(0,) * n] + [omega_weight(n, (i, 1)) for i in range(1, n + 1)]
+        for kind, coefficient in (("sym", sym_coefficient), ("ext", c_coefficient)):
+            for k in degrees:
+                for lam in lams:
+                    top = tuple(x + k[0] * y + k[1] * z for x, y, z in zip(lam, w1, w2))
+                    got = {mu: coefficient(rs, ms, lam, mu, k)
+                           for mu in dominant_weights_below(rs, top)}
+                    if lam[1:-1] == (0,) * (n - 2) and sum(lam) <= 1:
+                        ch = (_power_char(freudenthal(rs, w1), k[0], kind)
+                              * _power_char(freudenthal(rs, w2), k[1], kind)
+                              * freudenthal(rs, lam))
+                        oracle = iso_decompose(rs, ch)
+                        assert got == {mu: oracle[mu] for mu in got}, (label, kind, k, lam)
+                        checked += len(got)
+                    else:
+                        digest.update(repr((label, kind, k, lam, sorted(got.items()))).encode())
+                        pinned += len(got)
+    assert (checked, pinned) == (882, 1058)
+    assert digest.hexdigest() == (
+        "71630b8b4ef934106c614e3b3459609be9a18941d47f00a1a2aeb1e6bda7c98e")
 
 
 NEWTON_LABELS = ("A3", "B3", "C3", "B4", "C4", "D5")
