@@ -359,7 +359,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OverflowError, MemoryError) as exc:  # an oversized rank or ell
+    except (OverflowError, MemoryError, RecursionError) as exc:  # an oversized rank, ell or degree
         print(f"error: input too large to compute: {str(exc) or type(exc).__name__}",
               file=sys.stderr)
         return 2

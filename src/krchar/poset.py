@@ -4,6 +4,7 @@ base by psi-steps (the distance search d_psi serves leq_psi and the oracles)."""
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Iterator, NamedTuple
 
 from .repchar import BoundedCache, register_cache
@@ -29,13 +30,11 @@ def deg(r: MultiDegree) -> int:
 
 
 def compositions(total: int, parts: int) -> Iterator[MultiDegree]:
-    """All vectors in Z_+^parts with coordinate sum equal to total."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in compositions(total - first, parts - 1):
-            yield (first,) + rest
+    """All vectors in Z_+^parts with coordinate sum equal to total, in
+    lexicographic order: stars and bars, the bars' slots in lexicographic order."""
+    slots = total + parts - 1
+    for bars in combinations(range(slots), parts - 1):
+        yield tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (slots,)))
 
 
 class LambdaPoint(NamedTuple):

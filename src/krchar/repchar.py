@@ -34,6 +34,7 @@ from .rootsys import (
     require_ell,
     stabilizer_orbits,
     weyl_dim,
+    weyl_orbit,
 )
 
 DEFAULT_CACHE_ENTRIES = 100_000
@@ -302,24 +303,11 @@ def dominant_multiplicities(rs: RootSystem, lam) -> Mapping[Weight, int]:
 
 def freudenthal(rs: RootSystem, lam) -> WeightChar:
     """Character of the simple module V(lam): each dominant multiplicity
-    spread over its Weyl orbit, walked by simple reflections at the positive
-    coordinates.  s_i changes only the coordinates where row i of the Cartan
-    matrix is nonzero, at most four of them."""
-    rows = rs.cartan_rows
+    spread over its Weyl orbit, walked by :func:`weyl_orbit`."""
+    nodes = range(rs.rank)
     full: dict[Weight, int] = {}
     for mu, m in dominant_multiplicities(rs, lam).items():
-        full[mu] = m
-        orbit = [mu]
-        for w in orbit:
-            for i, c in enumerate(w):
-                if c > 0:
-                    x = list(w)
-                    for j, a in rows[i]:
-                        x[j] -= c * a
-                    x = tuple(x)
-                    if x not in full:
-                        full[x] = m
-                        orbit.append(x)
+        full.update(dict.fromkeys(weyl_orbit(rs, mu, nodes), m))
     return WeightChar._wrap(full)  # dominant_multiplicities refuses m <= 0
 
 

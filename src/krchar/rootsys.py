@@ -9,6 +9,8 @@ form is normalised so that short roots have squared length 2.
 :func:`dominant_weights_below` is the one enumeration of the dominant weights
 of a simple module, and the Freudenthal multiplicities start from it; the
 Gamma sets of :mod:`poset` walk by psi-steps instead and never call it.
+:func:`weyl_orbit` is the one orbit walk: Freudenthal's spread, the
+stabilizer orbits of the roots and the Weyl-group table of ``verify`` use it.
 """
 
 from __future__ import annotations
@@ -220,6 +222,39 @@ def _cached_root_system(t: LieType) -> RootSystem:
     return RootSystem(t)
 
 
+def weyl_orbit(rs: RootSystem, x, nodes) -> dict[Weight, int]:
+    """The orbit of x under <s_i : i in nodes>, in walk order, each element
+    mapped to (-1)^(number of reflections the walk took from x).
+
+    x must have no negative coordinate at ``nodes``.  The walk reflects only
+    at positive coordinates, so it only steps down, yet it reaches the whole
+    orbit: any other element has a negative coordinate at some node, and
+    reflecting there climbs toward x, so reversed, that chain steps down.
+    For a regular x such as rho every step down makes w one longer, so the
+    sign is sgn(w).
+    """
+    rows = rs.cartan_rows
+    orbit = {x: 1}
+    level = [x]
+    sign = 1
+    while level:  # breadth first: the elements of a level share a sign
+        sign = -sign
+        below = []
+        for y in level:
+            for i in nodes:
+                c = y[i]
+                if c > 0:
+                    z = list(y)
+                    for j, a in rows[i]:
+                        z[j] -= c * a
+                    z = tuple(z)
+                    if z not in orbit:
+                        orbit[z] = sign
+                        below.append(z)
+        level = below
+    return orbit
+
+
 @lru_cache(maxsize=None)
 def stabilizer_orbits(t: LieType, zeros: tuple[int, ...]) -> tuple[tuple[PositiveRoot, int], ...]:
     """One positive root from each orbit of W_Z = <s_j : j in zeros> on the
@@ -230,30 +265,19 @@ def stabilizer_orbits(t: LieType, zeros: tuple[int, ...]) -> tuple[tuple[Positiv
     is kept and is positive only on positive roots), so the orbit and its
     negative are disjoint, 2|O| roots.  A root orthogonal to mu lies in the
     subsystem of Z and s_beta sends it to its negative in the same orbit, so
-    the orbit holds |O| roots.  The counts add up to 2|positive roots|.  Kept
-    per (type, zeros) like the root systems: it is root-system data, and
-    computed only for the zero sets a caller meets.
+    the orbit holds |O| roots.  The counts add up to 2|positive roots|.  The
+    first root met in an orbit, from the highest down, has no negative
+    coordinate at Z (s_j beta would be a higher root), so :func:`weyl_orbit`
+    walks the orbit from it.  Kept per (type, zeros) like the root systems:
+    it is root-system data, and computed only for the zero sets a caller meets.
     """
     rs = _cached_root_system(t)
-    rows = rs.cartan_rows
     seen: set[Weight] = set()
     out = []
-    for root in rs.positive_roots:
+    for root in reversed(rs.positive_roots):
         if root.weight in seen:
             continue
-        orbit = {root.weight}
-        walk = [root.weight]
-        for x in walk:  # grows as new roots are found
-            for j in zeros:
-                c = x[j]
-                if c:
-                    y = list(x)
-                    for k, a in rows[j]:
-                        y[k] -= c * a
-                    y = tuple(y)
-                    if y not in orbit:
-                        orbit.add(y)
-                        walk.append(y)
+        orbit = weyl_orbit(rs, root.weight, zeros)
         seen.update(orbit)
         negative = tuple(-c for c in root.weight)
         out.append((root, len(orbit) if negative in orbit else 2 * len(orbit)))

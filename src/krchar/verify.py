@@ -50,6 +50,7 @@ from .rootsys import (
     omega_weight,
     sub_weights,
     weyl_dim,
+    weyl_orbit,
 )
 
 RANDOM_SEED = 20250811
@@ -328,23 +329,10 @@ def _weyl_shifts(rs) -> tuple[tuple[Weight, int], ...]:
     """(rho - w rho, sgn w) for every element w of the Weyl group.
 
     rho = (1, ..., 1) is regular, so w -> w rho is a bijection from W onto
-    the orbit of rho, which a breadth-first walk by simple reflections
-    lists; each reflection changes the length of w by one, and so its sign.
+    the orbit of rho, which :func:`weyl_orbit` lists with each sign.
     """
-    rows = rs.cartan_rows
     rho = (1,) * rs.rank
-    sign = {rho: 1}
-    walk = [rho]
-    for x in walk:  # grows as new orbit points are found
-        for i, c in enumerate(x):
-            y = list(x)
-            for j, a in rows[i]:
-                y[j] -= c * a
-            y = tuple(y)
-            if y not in sign:
-                sign[y] = -sign[x]
-                walk.append(y)
-    return tuple((sub_weights(rho, x), s) for x, s in sign.items())
+    return tuple((sub_weights(rho, x), s) for x, s in weyl_orbit(rs, rho, range(rs.rank)).items())
 
 
 def _weyl_numerator(rs, product: dict[Weight, int], shifts, conjugates: dict) -> dict[Weight, int]:

@@ -148,6 +148,23 @@ def test_an_ell_past_the_index_range_exits_2(capsys):
     assert err.startswith("error: input too large to compute: ") and err.count("\n") == 1
 
 
+def test_a_large_ell_needs_no_recursion(capsys):
+    # The multidegrees of Gamma are listed without one recursion per layer.
+    assert main(["gch", "--algebra", "A1", "--weight", "2", "--ell", "1200"]) == 0
+    out, err = capsys.readouterr()
+    assert out == f"V(2) t^({','.join(['0'] * 1200)})  x1\n" and err == ""
+
+
+def test_a_hom_degree_too_deep_to_fold_exits_2(capsys):
+    # The Hom fold recurses once per unit of degree; past the interpreter's
+    # limit that is an input too large to compute, not a failed check.
+    assert main(["ext", "--algebra", "A1", "--from", "2@0", "--to", "2@1200",
+                 "--j", "1200"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: input too large to compute: ") and err.count("\n") == 1
+
+
 def test_running_out_of_memory_exits_2(monkeypatch, capsys):
     # Stands in for an oversized --ell or rank: building one for real would
     # fill memory first.

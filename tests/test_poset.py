@@ -39,6 +39,22 @@ def _neg(w):
     return tuple(-c for c in w)
 
 
+def _recursive_compositions(total, parts):
+    # The reference: the recursive definition, one level per part.
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _recursive_compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def test_compositions_match_the_recursive_definition_in_order():
+    for total in range(6):
+        for parts in range(1, 6):
+            assert list(compositions(total, parts)) == list(_recursive_compositions(total, parts))
+
+
 # -- Psi sets ------------------------------------------------------------------------
 
 def test_psi_i_empty_for_node_one_and_spin_nodes():

@@ -1,6 +1,7 @@
 """Unit tests for the root-system layer, checked against an independent
 epsilon-coordinate realization of the classical root systems."""
 
+import math
 import os
 import random
 import subprocess
@@ -21,6 +22,7 @@ from krchar.rootsys import (
     parse_lie_type,
     sub_weights,
     weyl_dim,
+    weyl_orbit,
 )
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -242,6 +244,32 @@ def test_dominant_conjugate_properties(label):
                 refl = tuple(x - xi[i] * c for x, c in zip(xi, rs.cartan[i]))
                 if refl != xi:
                     assert _descend(rs, refl) == (dom, -parity)
+
+
+@pytest.mark.parametrize("label,order", [
+    *((f"A{n}", math.factorial(n + 1)) for n in range(1, 6)),
+    *((f"{fam}{n}", 2 ** n * math.factorial(n)) for fam in "BC" for n in range(2, 6)),
+    *((f"D{n}", 2 ** (n - 1) * math.factorial(n)) for n in (4, 5)),
+])
+def test_weyl_orbit_of_rho_is_the_weyl_group_with_its_signs(label, order):
+    # rho is regular, so its orbit has |W| elements: (n+1)!, 2^n n! or
+    # 2^(n-1) n!.  The sign the walk stores is sgn(w), the parity _descend
+    # counts on its way back up, and half of W is odd.
+    rs = build_root_system(label)
+    rho = (1,) * rs.rank
+    orbit = weyl_orbit(rs, rho, range(rs.rank))
+    assert len(orbit) == order
+    assert next(iter(orbit)) == rho and orbit[rho] == 1
+    assert sum(orbit.values()) == 0
+    for x, sign in orbit.items():
+        assert _descend(rs, x) == (rho, sign)
+
+
+def test_weyl_orbit_walks_only_the_given_nodes():
+    # Under <s_1> alone, the A2 weight (1, 0) has the orbit {(1, 0), (-1, 1)}.
+    a2 = build_root_system("A2")
+    assert weyl_orbit(a2, (1, 0), (0,)) == {(1, 0): 1, (-1, 1): -1}
+    assert weyl_orbit(a2, (1, 0), (1,)) == {(1, 0): 1}
 
 
 # -- Weyl dimension -----------------------------------------------------------
