@@ -1,11 +1,12 @@
 """Exact character arithmetic for the classical simple Lie algebras.
 
 Weight multiplicities come from Freudenthal's formula on the dominant
-weights, the only multiplicities memoised; a full character spreads them over
-Weyl orbits.  One signed Racah-Speiser kernel computes every tensor product:
+weights, the only multiplicities memoised.  One signed Racah-Speiser kernel
+computes every tensor product from them, walking one Weyl orbit at a time:
 two simples, and the graded Hom coefficients, which one memoised recursion
-folds into V(lam) by Newton's identity on Adams operations, so no power is
-ever built.  The power DP, the convolution of two WeightChars and
+folds into V(lam) by Newton's identity on Adams operations, so neither a
+power nor a full weight system is ever built.  ``freudenthal``, the full
+character, the power DP, the convolution of two WeightChars and
 ``iso_decompose`` are kept only as independent oracles for the tests;
 ``verify`` reads simple multiplicities off a product's dominant
 multiplicities through the Weyl numerator and builds no constituent's
@@ -303,7 +304,8 @@ def dominant_multiplicities(rs: RootSystem, lam) -> Mapping[Weight, int]:
 
 def freudenthal(rs: RootSystem, lam) -> WeightChar:
     """Character of the simple module V(lam): each dominant multiplicity
-    spread over its Weyl orbit, walked by :func:`weyl_orbit`."""
+    spread over its Weyl orbit, walked by :func:`weyl_orbit`.  Only the
+    oracles build it; the Racah-Speiser kernel walks the orbits itself."""
     nodes = range(rs.rank)
     full: dict[Weight, int] = {}
     for mu, m in dominant_multiplicities(rs, lam).items():
@@ -348,48 +350,58 @@ def set_active_tensor_cache(cache: TensorCache) -> TensorCache:
     return previous
 
 
-def _racah_speiser(rs: RootSystem, ch: WeightChar, start: Mapping) -> dict[Weight, int]:
-    """Signed simple multiplicities of M (x) N for the virtual module M with
-    Weyl-invariant character ch and N = sum of k V(lam) over start = {lam: k}.
+def _racah_speiser(rs: RootSystem, dominant: Mapping, start: Mapping, out: dict) -> None:
+    """Add the signed simple multiplicities of M (x) N into ``out``, keyed by
+    mu + rho, for the virtual module M whose Weyl-invariant character has the
+    multiplicities ``dominant`` = {mu: m} at its dominant weights, and
+    N = sum of k V(lam) over ``start`` = {lam + rho: k}.
 
-    Each weight w of ch contributes k times its multiplicity to V(mu), where
-    mu + rho is the dominant conjugate of lam + w + rho, with the sign
-    (-1)^(number of reflections).  A shifted weight with a zero coordinate is
-    fixed by that simple reflection, and lying on a wall is W-invariant, so
-    such a term contributes nothing: the descent leaves at the first wall,
-    checked before it starts and after every reflection.
+    Each orbit of M's weights is walked once, by :func:`weyl_orbit`, and no
+    weight system is built.  Each weight w of an orbit of multiplicity m adds
+    k m to the entry of mu + rho, the dominant conjugate of lam + rho + w,
+    with the sign (-1)^(number of reflections).  A shifted weight with a zero
+    coordinate is fixed by that simple reflection, and lying on a wall is
+    W-invariant, so such a term contributes nothing: the descent leaves at
+    the first wall, checked before it starts and after every reflection.
+    Entries that cancel stay in ``out`` as zeros.
     """
     rows = rs.cartan_rows
-    weights = ch.entries.items()
-    out: dict[tuple[int, ...], int] = {}  # keyed by mu + rho
-    for lam, k in start.items():
-        shifted = [c + 1 for c in lam]
-        for w, m in weights:
-            x = list(map(operator.add, shifted, w))
-            if 0 in x:
-                continue
-            sign = m * k
-            while True:
-                for i, c in enumerate(x):
-                    if c < 0:
-                        break
-                else:
-                    key = tuple(x)
-                    out[key] = out.get(key, 0) + sign
-                    break
-                for j, a in rows[i]:
-                    x[j] -= c * a
+    nodes = range(rs.rank)
+    starts = start.items()
+    for mu, m in dominant.items():
+        if min(mu) < 0:  # weyl_orbit would walk only part of its orbit
+            raise AssertionError(f"Racah-Speiser kernel given the non-dominant weight {mu}")
+        for w in weyl_orbit(rs, mu, nodes):
+            for shifted, k in starts:
+                x = list(map(operator.add, shifted, w))
                 if 0 in x:
-                    break
-                sign = -sign
-    return {tuple(c - 1 for c in key): v for key, v in out.items() if v}
+                    continue
+                sign = m * k
+                while True:
+                    for i, c in enumerate(x):
+                        if c < 0:
+                            break
+                    else:
+                        key = tuple(x)
+                        out[key] = out.get(key, 0) + sign
+                        break
+                    for j, a in rows[i]:
+                        x[j] -= c * a
+                    if 0 in x:
+                        break
+                    sign = -sign
+
+
+def _shift(w: Weight) -> Weight:
+    """w + rho."""
+    return tuple(c + 1 for c in w)
 
 
 def tensor_decompose(rs: RootSystem, lam, nu) -> IsoChar:
     """Decompose V(lam) (x) V(nu) into simple multiplicities (Racah-Speiser).
 
-    The weight system of the factor with the smaller Weyl dimension is
-    iterated (ties go to nu).
+    The orbits of the factor with the smaller Weyl dimension are walked
+    (ties go to nu).
     """
     lam, nu = require_dominant(rs, lam), require_dominant(rs, nu)
     key = (rs.lie_type,) + tuple(sorted((lam, nu)))
@@ -401,7 +413,9 @@ def tensor_decompose(rs: RootSystem, lam, nu) -> IsoChar:
         small, big = lam, nu
     else:
         small, big = nu, lam
-    out = _racah_speiser(rs, freudenthal(rs, small), {big: 1})
+    shifted: dict[Weight, int] = {}
+    _racah_speiser(rs, dominant_multiplicities(rs, small), {_shift(big): 1}, shifted)
+    out = {tuple(c - 1 for c in key): v for key, v in shifted.items() if v}
     if any(v < 0 for v in out.values()):
         raise AssertionError("negative multiplicity from Racah-Speiser")
     cache.count_compute()
@@ -504,6 +518,7 @@ def iso_decompose(rs: RootSystem, ch: WeightChar) -> IsoChar:
 
 # -- graded Hom-space coefficients ----------------------------------------------
 
+# The dominant multiplicities of each degree-one layer, which the fold reads.
 _component_char_cache = register_cache(BoundedCache())
 # Unused by the library; kept only because perfbench/tracer.py resolves memo.power_iso.
 _power_iso_cache = register_cache(BoundedCache())
@@ -512,46 +527,56 @@ _coeff_cache = register_cache(BoundedCache())
 
 def component_char(rs: RootSystem, comp: tuple[Weight, ...]) -> WeightChar:
     """Character of one degree-one layer, given as its tuple of highest
-    weights (an entry of ``ModuleSpec.components``)."""
+    weights (an entry of ``ModuleSpec.components``).  Only the oracles build
+    it; the fold reads the layer's dominant multiplicities."""
+    return sum((freudenthal(rs, w) for w in comp), WeightChar())
+
+
+def _layer_dominant(rs: RootSystem, comp: tuple[Weight, ...]) -> Mapping[Weight, int]:
+    """Multiplicities of one degree-one layer at its dominant weights; treat
+    the result as immutable."""
     key = (rs.lie_type, comp)
     hit = _component_char_cache.get(key)
     if hit is None:
-        hit = WeightChar()
+        hit = {}
         for w in comp:
-            hit = hit + freudenthal(rs, w)
+            for mu, m in dominant_multiplicities(rs, w).items():
+                hit[mu] = hit.get(mu, 0) + m
         _component_char_cache.put(key, hit)
     return hit
 
 
 def _fold(rs: RootSystem, kind: str, factors: tuple, lam: Weight) -> Mapping[Weight, int]:
     """Simple multiplicities of P^{d_1}(V_1) (x) ... (x) P^{d_r}(V_r) (x) V(lam)
-    for the sorted factors ((V_i, d_i), ...), P = Sym or wedge; treat the
-    result as immutable.  With (V, d) the last factor, Newton's identity
-    d F = sum_{j=1..d} eps_j psi^j(V) (x) F(rest, (V, d-j)), eps_j = 1 for Sym
-    and (-1)^(j-1) for wedge, runs each term as one signed Racah-Speiser pass
-    of the Adams operation psi^j(V) = sum m_w e^{jw} over the whole previous
-    fold; no power of V is built.
+    for the sorted factors ((V_i, d_i), ...), P = Sym or wedge, each V(mu)
+    keyed by mu + rho, as the Racah-Speiser kernel writes and reads them;
+    treat the result as immutable.  With (V, d) the last factor, Newton's
+    identity d F = sum_{j=1..d} eps_j psi^j(V) (x) F(rest, (V, d-j)),
+    eps_j = 1 for Sym and (-1)^(j-1) for wedge, runs each term as one
+    Racah-Speiser pass of the Adams operation psi^j(V), whose dominant
+    multiplicities are eps_j m_mu at j mu, over the whole previous fold; all
+    d passes add into one sum, and no power of V is built.
     """
     if not factors:
-        return {lam: 1}
+        return {_shift(lam): 1}
     key = (rs.lie_type, kind, factors, lam)
     out = _coeff_cache.get(key)
     if out is not None:
         return out
     *rest, (comp, d) = factors
-    layer = component_char(rs, comp).entries
+    layer = _layer_dominant(rs, comp).items()
     total: dict[Weight, int] = {}
     for j in range(1, d + 1):
         sign = -1 if kind == "ext" and j % 2 == 0 else 1
-        adams = WeightChar({tuple(j * c for c in w): m for w, m in layer.items()})
+        adams = {tuple(j * c for c in w): sign * m for w, m in layer}
         lower = tuple(sorted(rest + [(comp, d - j)] if j < d else rest))
-        for mu, v in _racah_speiser(rs, adams, _fold(rs, kind, lower, lam)).items():
-            total[mu] = total.get(mu, 0) + sign * v
+        _racah_speiser(rs, adams, _fold(rs, kind, lower, lam), total)
     out = {}
     for mu, v in total.items():
         q, r = divmod(v, d)
         if r:
-            raise AssertionError(f"Newton sum for {kind}^{d} at {mu} is not divisible by {d}")
+            raise AssertionError(
+                f"Newton sum for {kind}^{d} at {tuple(c - 1 for c in mu)} is not divisible by {d}")
         if q:
             out[mu] = q
     if any(v < 0 for v in out.values()):
@@ -569,7 +594,7 @@ def _hom_coefficient(rs: RootSystem, ms: ModuleSpec, lam, mu, k, kind: str) -> i
     if min(k) < 0:  # a Hom degree lies in Z_+^ell
         raise ValueError(f"degree vector {list(k)} has a negative entry")
     factors = tuple(sorted((ms.components[i], ki) for i, ki in enumerate(k) if ki))
-    return _fold(rs, kind, factors, lam).get(mu, 0)
+    return _fold(rs, kind, factors, lam).get(_shift(mu), 0)
 
 
 def c_coefficient(rs: RootSystem, ms: ModuleSpec, lam, mu, k) -> int:

@@ -9,8 +9,9 @@ form is normalised so that short roots have squared length 2.
 :func:`dominant_weights_below` is the one enumeration of the dominant weights
 of a simple module, and the Freudenthal multiplicities start from it; the
 Gamma sets of :mod:`poset` walk by psi-steps instead and never call it.
-:func:`weyl_orbit` is the one orbit walk: Freudenthal's spread, the
-stabilizer orbits of the roots and the Weyl-group table of ``verify`` use it.
+:func:`weyl_orbit` is the one orbit walk: the Racah-Speiser kernel,
+Freudenthal's spread, the stabilizer orbits of the roots and the Weyl-group
+table of ``verify`` use it.
 """
 
 from __future__ import annotations

@@ -191,9 +191,9 @@ def test_power_fold_genuineness_check_exits_3(monkeypatch, capsys, fresh_memo):
 
     kernel = repchar._racah_speiser
 
-    def wrong_sign(rs, ch, start):
+    def wrong_sign(rs, dominant, start, out):
         # eps_1 = -1: F_1 comes out as minus V (x) V(lam), exactly divisible.
-        return {mu: -v for mu, v in kernel(rs, ch, start).items()}
+        kernel(rs, {mu: -m for mu, m in dominant.items()}, start, out)
 
     monkeypatch.setattr(repchar, "_racah_speiser", wrong_sign)
     assert main(["gch", "--algebra", "D4", "--weight", "0,2,0,0", "--ell", "1"]) == 3
@@ -208,14 +208,33 @@ def test_power_fold_division_check_exits_3(monkeypatch, capsys, fresh_memo):
 
     def extra_copy(rs, kind, factors, lam):
         # One stray V(lam) in the d = 1 fold makes 2 F_2 odd wherever
-        # V (x) V(lam) is.
+        # V (x) V(lam) is.  Fold entries are keyed by mu + rho.
         out = fold(rs, kind, factors, lam)
-        return {**out, lam: out.get(lam, 0) + 1} if [d for _, d in factors] == [1] else out
+        top = tuple(c + 1 for c in lam)
+        return {**out, top: out.get(top, 0) + 1} if [d for _, d in factors] == [1] else out
 
     monkeypatch.setattr(repchar, "_fold", extra_copy)
     assert main(["gch", "--algebra", "D4", "--weight", "0,2,0,0", "--ell", "1"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("internal error: Newton sum for ") and "is not divisible by 2" in err
+
+
+def test_a_full_character_given_to_the_kernel_exits_3(monkeypatch, capsys, fresh_memo):
+    import krchar.repchar as repchar
+    from krchar.rootsys import weyl_orbit
+
+    dominant = repchar.dominant_multiplicities
+
+    def whole_weight_system(rs, lam):
+        # tensor_decompose hands the kernel every weight of the smaller
+        # factor, and the kernel refuses the first one that is not dominant.
+        return {w: m for mu, m in dominant(rs, lam).items()
+                for w in weyl_orbit(rs, mu, range(rs.rank))}
+
+    monkeypatch.setattr(repchar, "dominant_multiplicities", whole_weight_system)
+    assert main(["tensor", "--algebra", "A2", "--weight", "1,0", "--weight", "0,1"]) == 3
+    assert capsys.readouterr().err == (
+        "internal error: Racah-Speiser kernel given the non-dominant weight (1, -1)\n")
 
 
 def test_non_dominant_weight_rejected(capsys):

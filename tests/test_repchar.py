@@ -161,8 +161,8 @@ def _dense_row_orbits(rs, lam):
 
 @pytest.mark.parametrize("label", SMALL_LABELS)
 def test_sparse_row_orbit_walk_matches_the_dense_row_walk(label):
-    # Same weights, same multiplicities, in the same order: the order is what
-    # the Racah-Speiser kernel sums in.
+    # Same weights, same multiplicities, in the same order.  The order is
+    # freudenthal's own: the Racah-Speiser kernel walks each orbit itself.
     rs = build_root_system(label)
     for lam in _low_weights(rs.rank):
         got = freudenthal(rs, lam).entries
@@ -295,6 +295,20 @@ def test_tensor_cache_counts_computations():
 
 # -- the Racah-Speiser kernel -------------------------------------------------------
 
+def _shift(w):
+    return tuple(c + 1 for c in w)
+
+
+def _kernel_pass(rs, ch, start):
+    """One Racah-Speiser pass of the Weyl-invariant character ch over
+    start = {lam: k}, fed as the kernel takes it: the dominant part of ch and
+    the starts shifted by rho.  The nonzero entries, keyed by mu + rho."""
+    dominant = {w: m for w, m in ch.entries.items() if min(w) >= 0}
+    out = {}
+    _racah_speiser(rs, dominant, {_shift(lam): k for lam, k in start.items()}, out)
+    return {key: v for key, v in out.items() if v}
+
+
 def _racah_speiser_full_descent(rs, ch, start):
     """Reference kernel: every shifted weight descends all the way to the
     dominant chamber with rootsys._descend, and the wall is tested only there."""
@@ -314,7 +328,9 @@ def _racah_speiser_full_descent(rs, ch, start):
 def test_racah_speiser_matches_the_full_descent(label):
     # Signed characters: weight systems, their Adams operations psi^j for
     # j <= 3 and differences of these, against weighted starts {lam: k} with
-    # k <= 3.  The results must agree entry by entry and in order; the
+    # k <= 3.  The kernel reads only the dominant part of each character and
+    # walks its orbits itself, so the results must agree entry by entry (the
+    # reference sums in the input's order, the kernel orbit by orbit); the
     # counters make sure the cases reach a wall only after a reflection and
     # keep terms of odd parity, which a lost wall check or sign would break.
     rs = build_root_system(label)
@@ -330,8 +346,9 @@ def test_racah_speiser_matches_the_full_descent(label):
         for ch in chars:
             start = {tuple(rng.randint(0, 3) for _ in range(rs.rank)): rng.randint(1, 3)
                      for _ in range(rng.randint(1, 3))}
-            got = _racah_speiser(rs, ch, start)
-            assert list(got.items()) == list(_racah_speiser_full_descent(rs, ch, start).items())
+            got = {tuple(c - 1 for c in key): v
+                   for key, v in _kernel_pass(rs, ch, start).items()}
+            assert got == _racah_speiser_full_descent(rs, ch, start)
             for nu in start:
                 for w in ch.entries:
                     x = tuple(b + c + 1 for b, c in zip(nu, w))
@@ -340,6 +357,70 @@ def test_racah_speiser_matches_the_full_descent(label):
                     odd_terms += 0 not in dom and parity < 0
     # In rank one a reflection only negates the coordinate: no late wall.
     assert odd_terms and (late_walls or rs.rank == 1)
+
+
+@pytest.mark.parametrize("label,lam", [("A2", (1, 1)), ("B3", (0, 1, 1)), ("D4", (0, 1, 0, 0))])
+def test_racah_speiser_refuses_a_full_character(label, lam):
+    # From a weight with a negative coordinate weyl_orbit walks only part of
+    # the orbit, so a full character given in place of its dominant part
+    # would decompose wrongly; the kernel refuses it instead.
+    rs = build_root_system(label)
+    with pytest.raises(AssertionError, match="non-dominant weight"):
+        _racah_speiser(rs, freudenthal(rs, lam).entries, {_shift(lam): 1}, {})
+
+
+def test_a_cold_tensor_product_holds_one_orbit_at_a_time():
+    # B5 V(2 omega3 + omega4) has 13,335 weights.  With its dominant
+    # multiplicities and both Weyl dimensions warm, a cold tensor product
+    # with V(4 omega4) holds one orbit at a time: its traced peak stays
+    # below a quarter of the full character's size.
+    import tracemalloc
+
+    rs = build_root_system("B5")
+    lam, nu = (0, 0, 2, 1, 0), (0, 0, 0, 4, 0)
+    previous = set_active_tensor_cache(TensorCache())
+    try:
+        clear_memo_caches()
+        for x in (lam, nu):
+            dominant_multiplicities(rs, x)
+            weyl_dim(rs, x)
+        tracemalloc.start()
+        try:
+            tensor_decompose(rs, lam, nu)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.clear_traces()
+            full = freudenthal(rs, lam).entries
+            size = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(full) == 13335
+        assert active_tensor_cache().computed == 1
+        assert peak < size / 4, (peak, size)
+    finally:
+        set_active_tensor_cache(previous)
+        clear_memo_caches()
+
+
+def test_production_paths_never_build_a_full_character(monkeypatch):
+    # Cold, with freudenthal refused: a tensor product and a graded character
+    # read only dominant multiplicities.
+    import krchar.repchar as repchar
+    from krchar.graded import gch_N
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("freudenthal reached from a production path")
+
+    clear_memo_caches()
+    monkeypatch.setattr(repchar, "freudenthal", refuse)
+    try:
+        lam = omega_weight(5, (3, 2))
+        iso = tensor_decompose(D5, D5.highest_root.weight, lam)
+        assert iso[omega_weight(5, (3, 1), (1, 1))] == 1
+        assert iso.total_dimension(D5) == weyl_dim(D5, lam) * 45
+        g = gch_N(D5, lam, 3)
+        assert g.entries[((0,) * 5, (1, 1, 1))] == 1
+    finally:
+        clear_memo_caches()
 
 
 # -- exterior and symmetric powers -------------------------------------------------
@@ -635,12 +716,12 @@ def test_power_fold_matches_the_power_dp(label):
         for nu in ((0,) * rs.rank, _seeded_dominant(rs, rng)):
             for kind in ("sym", "ext"):
                 for d in range(5):
-                    oracle = _racah_speiser(rs, _power_char(ch, d, kind), {nu: 1})
+                    oracle = _kernel_pass(rs, _power_char(ch, d, kind), {nu: 1})
                     factors = ((comp, d),) if d else ()
                     assert _fold(rs, kind, factors, nu) == oracle, (comp, nu, kind, d)
                 for a, b in pairs:
                     product_char = _power_char(ch, a, kind) * _power_char(ch, b, kind)
-                    oracle = _racah_speiser(rs, product_char, {nu: 1})
+                    oracle = _kernel_pass(rs, product_char, {nu: 1})
                     factors = ((comp, a), (comp, b))
                     assert _fold(rs, kind, factors, nu) == oracle, (comp, nu, kind, a, b)
 
@@ -662,7 +743,7 @@ def test_wedge_power_fold_at_and_beyond_the_top_degree(label):
         top = weyl_dim(rs, highest)
         for lam in ((0,) * rs.rank, _seeded_dominant(rs, rng)):
             assert c_coefficient(rs, ms, lam, lam, (top,)) == 1
-            assert _fold(rs, "ext", ((comp, top),), lam) == {lam: 1}
+            assert _fold(rs, "ext", ((comp, top),), lam) == {_shift(lam): 1}
             assert _fold(rs, "ext", ((comp, top + 1),), lam) == {}
             assert c_coefficient(rs, ms, lam, lam, (top + 1,)) == 0
 
@@ -675,9 +756,9 @@ def test_each_fold_entry_costs_its_last_degree_in_kernel_passes(monkeypatch):
 
     kernel, passes = repchar._racah_speiser, []
 
-    def counted(rs, ch, start):
+    def counted(rs, dominant, start, out):
         passes.append(1)
-        return kernel(rs, ch, start)
+        kernel(rs, dominant, start, out)
 
     clear_memo_caches()
     monkeypatch.setattr(repchar, "_racah_speiser", counted)
