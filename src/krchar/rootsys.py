@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import prod
-from operator import add, mul, sub
+from operator import add, mul, not_, sub
 from typing import NamedTuple
 
 Weight = tuple[int, ...]
@@ -392,21 +392,33 @@ def weyl_dim(rs: RootSystem, lam) -> int:
     return value
 
 
+@lru_cache(maxsize=None)
+def _dominant_steps(t: LieType, zeros: tuple[bool, ...]) -> tuple[PositiveRoot, ...]:
+    """The positive roots, in order, with no positive coordinate where
+    ``zeros`` is true.  Kept per (type, zeros) like :func:`stabilizer_orbits`."""
+    return tuple(root for root in _cached_root_system(t).positive_roots
+                 if not any(z and c > 0 for z, c in zip(zeros, root.weight)))
+
+
 def dominant_weights_below(rs: RootSystem, lam) -> dict[Weight, tuple[int, ...]]:
     """The dominant weights mu of V(lam), each with the integer root
     coordinates of lam - mu, in order of increasing height of lam - mu.
 
     They are reached from lam by steps that subtract a positive root and stay
     dominant (Stembridge, "The partial order of dominant weights", 1998); no
-    weight system is built.
+    weight system is built.  A root with a positive coordinate where mu has a
+    zero is never tried from mu: mu minus that root is negative there, so the
+    step could not stay dominant.  Skipping it inserts the same weights in the
+    same order.
     """
     lam = require_dominant(rs, lam)
     found = {lam: (0,) * rs.rank}
     todo = [lam]
+    t = rs.lie_type
     while todo:
         mu = todo.pop()
         coords = found[mu]
-        for root in rs.positive_roots:
+        for root in _dominant_steps(t, tuple(map(not_, mu))):
             nu = sub_weights(mu, root.weight)
             if nu not in found and min(nu) >= 0:  # nu has rs.rank coordinates
                 found[nu] = add_weights(coords, root.coords)

@@ -311,18 +311,16 @@ def check_mode_agreement() -> CheckResult:
 
 
 def _rank2_pairs() -> Iterator[tuple]:
-    """(label, root system, lam, nu) for every pair lam <= nu of weights with
-    coordinates below 4 on A1, A2, B2 and C2 (the product is symmetric)."""
+    """(label, root system, pairs) for A1, A2, B2 and C2, where pairs lists
+    every pair (lam, nu), lam <= nu, of weights with coordinates below 4
+    (the product is symmetric)."""
     for label in ("A1", "A2", "B2", "C2"):
         rs = build_root_system(label)
         if rs.rank == 1:
             weights = [(a,) for a in range(4)]
         else:
             weights = [(a, b) for a in range(4) for b in range(4)]
-        for lam in weights:
-            for nu in weights:
-                if nu >= lam:
-                    yield label, rs, lam, nu
+        yield label, rs, [(lam, nu) for lam in weights for nu in weights if nu >= lam]
 
 
 def _weyl_shifts(rs) -> tuple[tuple[Weight, int], ...]:
@@ -335,7 +333,8 @@ def _weyl_shifts(rs) -> tuple[tuple[Weight, int], ...]:
     return tuple((sub_weights(rho, x), s) for x, s in weyl_orbit(rs, rho, range(rs.rank)).items())
 
 
-def _weyl_numerator(rs, product: dict[Weight, int], shifts, conjugates: dict) -> dict[Weight, int]:
+def _weyl_numerator(rs, product: dict[int, int], shifts, conjugates: dict,
+                    packed: _PackedType) -> dict[Weight, int]:
     """Simple multiplicities N_mu of a module from its multiplicities
     ``product`` at its dominant weights, by the Weyl character formula.
 
@@ -346,64 +345,93 @@ def _weyl_numerator(rs, product: dict[Weight, int], shifts, conjugates: dict) ->
     sgn(w) P(mu + rho - w rho), with P read at the dominant conjugate, since
     the character is Weyl-invariant.  V(mu) occurs only when mu is a weight,
     so only the mu with P(mu) != 0 are tried.  ``shifts`` is the table
-    of :func:`_weyl_shifts`; ``conjugates`` maps mu to the dominant
+    of :func:`_weyl_shifts`.
+
+    ``product`` is keyed by the packed weights of ``packed``, and the result
+    by weights.  ``conjugates`` maps a packed mu to the packed dominant
     conjugates of the mu + rho - w rho, in the order of ``shifts``, and is
-    filled here, so a check that shares it descends each of them once.
+    filled here, so a check that shares it descends each of them once.  A
+    conjugate that is none of the type's dominant weights below a sum
+    lam + nu is no weight of any of its products and is kept as None, which
+    reads 0.
     """
     shifts, signs = zip(*shifts)
     get = product.get
+    weight_of, packed_of = packed.weight_of, packed.packed_of.get
     zeros = repeat(0)
     out: dict[Weight, int] = {}
     for mu in product:
         doms = conjugates.get(mu)
         if doms is None:
-            doms = conjugates[mu] = [_descend(rs, add_weights(mu, shift))[0] for shift in shifts]
+            x = weight_of[mu]
+            doms = conjugates[mu] = [packed_of(_descend(rs, add_weights(x, shift))[0])
+                                     for shift in shifts]
         n = sum(map(operator.mul, signs, map(get, doms, zeros)))
         if n:
-            out[mu] = n
+            out[weight_of[mu]] = n
     return out
 
 
-def _dominant_product(rs, lam, nu, chars: dict, top) -> dict[Weight, int]:
-    """Multiplicities of V(lam) (x) V(nu) at its dominant weights, each the
-    convolution sum over u of m_lam(u) m_nu(w - u) of the two full characters.
+class _PackedType:
+    """The full characters of the factors and the dominant weights below the
+    sums lam + nu of one type's pairs, each packed into integers once, in one
+    base for the whole type.
 
-    ``chars`` maps (type, weight) to the entries of the weight's full
-    character and is filled here, so a check that shares it builds each
-    factor once.  Every weight of the product lies below lam + nu, so its
-    dominant weights are among those of V(lam + nu), the weights ``top``
-    that ``dominant_weights_below(lam + nu)`` lists without any
-    multiplicity.  No reflection is used.
-
-    Weights are packed into integers, pack(x) = sum of x_i M^i in balanced
-    base M = 2B + 1, where B bounds |coordinate| over the weights of V(nu)
-    and over every w - u (by max |w_i| + max |u_i|).  pack is linear, so
-    pack(w) - pack(u) = pack(w - u).  It is injective on the box [-B, B]^n:
-    if pack(x) = pack(y) there, z = x - y has |z_i| <= 2B < M and
-    sum z_i M^i = 0; at the lowest i with z_i != 0, M would divide z_i.  So
-    the packed character of V(nu) returns m_nu(w - u) at pack(w) - pack(u),
-    and 0 exactly when w - u is not a weight of V(nu).
+    pack(x) = sum of x_i M^i in the balanced base M = 2B + 1, where B is the
+    largest |coordinate| over the characters plus the largest coordinate over
+    the dominant weights.  pack is linear, so pack(w) - pack(u) = pack(w - u).
+    It is injective on the box [-B, B]^n: if pack(x) = pack(y) there,
+    z = x - y has |z_i| <= 2B < M and sum z_i M^i = 0; at the lowest i with
+    z_i != 0, M would divide z_i.  The convolution reads w - u for a dominant
+    w below lam + nu and a weight u of one factor, so w - u lies in the box,
+    as does every weight of the other factor: the packed character of that
+    factor returns its multiplicity at w - u, and 0 exactly when w - u is not
+    one of its weights.
     """
-    for x in (lam, nu):
-        if (rs.lie_type, x) not in chars:
-            chars[rs.lie_type, x] = freudenthal(rs, x).entries
-    a, b = chars[rs.lie_type, lam], chars[rs.lie_type, nu]
-    bound = max(_max_abs(b), max(map(max, top)) + _max_abs(a))
-    powers = [(2 * bound + 1) ** i for i in range(rs.rank)]
 
-    def pack(x):
-        return sum(map(operator.mul, x, powers))
+    def __init__(self, rs, pairs):
+        chars = {x: freudenthal(rs, x).entries for x in set(chain.from_iterable(pairs))}
+        sums = {pair: add_weights(*pair) for pair in pairs}
+        below = {s: dominant_weights_below(rs, s) for s in set(sums.values())}
+        bound = _max_abs(chain.from_iterable(chars.values()))
+        bound += max(map(max, chain.from_iterable(below.values())))
+        powers = [(2 * bound + 1) ** i for i in range(rs.rank)]
 
-    packed_a = list(map(pack, a))
-    mult_a = list(a.values())
-    get_b = {pack(v): m for v, m in b.items()}.get
-    zeros = repeat(0)
-    out: dict[Weight, int] = {}
-    for w in top:
-        c = sum(map(operator.mul, mult_a, map(get_b, map(pack(w).__sub__, packed_a), zeros)))
-        if c:
-            out[w] = c
-    return out
+        def pack(x):
+            return sum(map(operator.mul, x, powers))
+
+        # x -> (packed weights, multiplicities, {packed weight: multiplicity})
+        self.chars = {}
+        for x, ch in chars.items():
+            keys, mults = tuple(map(pack, ch)), tuple(ch.values())
+            self.chars[x] = keys, mults, dict(zip(keys, mults))
+        packed_below = {s: tuple(map(pack, ws)) for s, ws in below.items()}
+        self.tops = {pair: packed_below[s] for pair, s in sums.items()}
+        self.packed_of = {w: pack(w) for ws in below.values() for w in ws}
+        self.weight_of = {p: w for w, p in self.packed_of.items()}
+
+    def dominant_product(self, lam, nu) -> dict[int, int]:
+        """Multiplicities of V(lam) (x) V(nu) at its dominant weights, keyed
+        by packed weight: each is the convolution sum over u of
+        m_lam(u) m_nu(w - u), taken over the factor with fewer weights.
+
+        Every weight of the product lies below lam + nu, so its dominant
+        weights are among those of V(lam + nu), the weights that
+        ``dominant_weights_below(lam + nu)`` lists without any multiplicity.
+        No reflection is used.
+        """
+        small, large = self.chars[lam], self.chars[nu]
+        if len(small[0]) > len(large[0]):
+            small, large = large, small
+        keys, mults, _ = small
+        get = large[2].get
+        zeros = repeat(0)
+        out: dict[int, int] = {}
+        for w in self.tops[lam, nu]:
+            c = sum(map(operator.mul, mults, map(get, map(w.__sub__, keys), zeros)))
+            if c:
+                out[w] = c
+        return out
 
 
 def _max_abs(weights) -> int:
@@ -415,27 +443,21 @@ def check_tensor_vs_product_rank2() -> CheckResult:
 
     The product's multiplicities at its dominant weights determine its
     simple multiplicities through the Weyl numerator, so no constituent's
-    character is computed.  The check builds the Weyl group table once per
-    type, lists the dominant weights below each lam + nu once, and descends
-    each weight the inversion reads once per type.
+    character is computed.  The check takes the pairs one type at a time:
+    it builds the type's Weyl group table once, packs each factor's
+    character and the dominant weights below each lam + nu once, and
+    descends each weight the inversion reads once.
     """
     name = "tensor-vs-character-product-rank2"
     count = 0
-    chars: dict = {}
-    tops: dict = {}
-    shifts: dict = {}
-    conjugates: dict = {}
-    for label, rs, lam, nu in _rank2_pairs():
-        if label not in shifts:
-            shifts[label], conjugates[label] = _weyl_shifts(rs), {}
-        key = (label, add_weights(lam, nu))
-        if key not in tops:
-            tops[key] = dominant_weights_below(rs, key[1])
-        product = _dominant_product(rs, lam, nu, chars, tops[key])
-        simples = _weyl_numerator(rs, product, shifts[label], conjugates[label])
-        if simples != tensor_decompose(rs, lam, nu).entries:
-            return _fail(name, f"{label}: {lam} (x) {nu}")
-        count += 1
+    for label, rs, pairs in _rank2_pairs():
+        packed = _PackedType(rs, pairs)
+        shifts, conjugates = _weyl_shifts(rs), {}
+        for lam, nu in pairs:
+            simples = _weyl_numerator(rs, packed.dominant_product(lam, nu), shifts, conjugates, packed)
+            if simples != tensor_decompose(rs, lam, nu).entries:
+                return _fail(name, f"{label}: {lam} (x) {nu}")
+            count += 1
     return _ok(name, f"{count} pairs")
 
 
@@ -473,14 +495,21 @@ def check_root_sum_decompositions() -> CheckResult:
     labels += [f"D{n}" for n in range(4, 9)]
     for label in labels:
         rs = build_root_system(label)
-        coords = {r.coords for r in rs.positive_roots}
+        # Root coordinates lie in 0..2 on the classical types (the highest
+        # root's do) and their differences in -2..2, so sum c_i 5^i packs
+        # them injectively: two points of [-2, 2]^n that pack alike differ
+        # by a z with |z_i| <= 4 < 5 that packs to 0, so z = 0.  beta - gamma
+        # is then a root exactly when it packs to one.
+        powers = [5 ** i for i in range(rs.rank)]
+        packed = {r.coords: sum(map(operator.mul, r.coords, powers)) for r in rs.positive_roots}
+        roots = set(packed.values())
         # gamma must have coordinate 1 at node j in both splits; the rest
         # then has 1 there when beta has 2, and 0 when beta has 1.
-        at_node = [[g for g in coords if g[j] == 1] for j in range(rs.rank)]
-        for beta in coords:
+        at_node = [[p for g, p in packed.items() if g[j] == 1] for j in range(rs.rank)]
+        for beta, b in packed.items():
             for j in range(rs.rank):
                 if beta[j] == 2 or (beta[j] == 1 and sum(beta) > 1):
-                    if not any(sub_weights(beta, g) in coords for g in at_node[j]):
+                    if roots.isdisjoint(map(b.__sub__, at_node[j])):
                         split = "1+1" if beta[j] == 2 else "0+1"
                         return _fail(name, f"{label}: no {split} split of {beta} at node {j + 1}")
     return _ok(name, "exhaustive, classical rank <= 8")

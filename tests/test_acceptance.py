@@ -111,20 +111,19 @@ def test_dominant_weight_oracle_agrees_with_the_peel_on_every_rank2_pair():
     # part of the full character product, and the Weyl-numerator inversion
     # of it must be the peel of that product into simples.
     from krchar.repchar import freudenthal, iso_decompose
-    from krchar.rootsys import add_weights, dominant_weights_below
 
     count = 0
-    chars, shifts, conjugates = {}, {}, {}
-    for label, rs, lam, nu in verify._rank2_pairs():
-        if label not in shifts:
-            shifts[label], conjugates[label] = verify._weyl_shifts(rs), {}
-        product = freudenthal(rs, lam) * freudenthal(rs, nu)
-        dominant = {w: m for w, m in product.entries.items() if rs.is_dominant(w)}
-        top = dominant_weights_below(rs, add_weights(lam, nu))
-        assert verify._dominant_product(rs, lam, nu, chars, top) == dominant, (label, lam, nu)
-        simples = verify._weyl_numerator(rs, dominant, shifts[label], conjugates[label])
-        assert simples == iso_decompose(rs, product).entries, (label, lam, nu)
-        count += 1
+    for label, rs, pairs in verify._rank2_pairs():
+        packed = verify._PackedType(rs, pairs)
+        shifts, conjugates = verify._weyl_shifts(rs), {}
+        for lam, nu in pairs:
+            product = freudenthal(rs, lam) * freudenthal(rs, nu)
+            dominant = {w: m for w, m in product.entries.items() if rs.is_dominant(w)}
+            got = packed.dominant_product(lam, nu)
+            assert {packed.weight_of[w]: c for w, c in got.items()} == dominant, (label, lam, nu)
+            simples = verify._weyl_numerator(rs, got, shifts, conjugates, packed)
+            assert simples == iso_decompose(rs, product).entries, (label, lam, nu)
+            count += 1
     assert count == 418
 
 
@@ -162,20 +161,20 @@ def test_packed_convolution_agrees_with_the_full_product_beyond_rank2():
     from itertools import product
 
     from krchar.repchar import freudenthal
-    from krchar.rootsys import add_weights, build_root_system, dominant_weights_below
+    from krchar.rootsys import build_root_system
 
     rng = random.Random(20251019)
     count = 0
     for label in ("A3", "A4", "B3", "B4", "C3", "C4", "D4"):
         rs = build_root_system(label)
         weights = [w for w in product(range(3), repeat=rs.rank) if 0 < sum(w) <= 2]
-        chars = {}
-        for _ in range(12):
-            lam, nu = rng.choice(weights), rng.choice(weights)
+        pairs = [(rng.choice(weights), rng.choice(weights)) for _ in range(12)]
+        packed = verify._PackedType(rs, pairs)
+        for lam, nu in pairs:
             product_char = freudenthal(rs, lam) * freudenthal(rs, nu)
             dominant = {w: m for w, m in product_char.entries.items() if rs.is_dominant(w)}
-            top = dominant_weights_below(rs, add_weights(lam, nu))
-            assert verify._dominant_product(rs, lam, nu, chars, top) == dominant, (label, lam, nu)
+            got = packed.dominant_product(lam, nu)
+            assert {packed.weight_of[w]: c for w, c in got.items()} == dominant, (label, lam, nu)
             count += 1
     assert count == 84
 
@@ -200,3 +199,16 @@ def test_root_sum_check_fails_when_a_root_is_missing(monkeypatch):
     result = verify.check_root_sum_decompositions()
     assert result.ok is False
     assert re.fullmatch(r"B2: no [01]\+1 split of \(1, 2\) at node [12]", result.detail), result
+
+
+def test_root_sum_check_packs_differences_without_aliasing(monkeypatch):
+    # In the made-up system (0, 2), (1, 1), (2, 0) the only candidate split
+    # of (0, 2) at node 2 leaves (-1, 1), which is no root.  A base-3 packing
+    # would read it as (2, 0), -1 + 3 = 2, and report (1, 1) instead.
+    import types
+
+    fake = types.SimpleNamespace(rank=2, positive_roots=[
+        types.SimpleNamespace(coords=c) for c in ((0, 2), (1, 1), (2, 0))])
+    monkeypatch.setattr(verify, "build_root_system", lambda label: fake)
+    result = verify.check_root_sum_decompositions()
+    assert (result.ok, result.detail) == (False, "A1: no 1+1 split of (0, 2) at node 2")

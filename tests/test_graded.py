@@ -477,6 +477,48 @@ def test_gch_cross_path_on_fundamental_pairs():
                 assert direct.is_genuine()
 
 
+# -- the Q-system: an oracle from the KR literature ------------------------------------
+
+def _kr_q(rs, a, m):
+    """Q^(a)_m: gch_N(m omega_a) at ell = 1 summed over degrees, as {mu: multiplicity}."""
+    if m == 0:
+        return {(0,) * rs.rank: 1}
+    out = {}
+    for (mu, _), k in gch_N(rs, omega_weight(rs.rank, (a, m)), 1).entries.items():
+        out[mu] = out.get(mu, 0) + k
+    return out
+
+
+def _iso_product(rs, x, y):
+    out = {}
+    for mu, a in x.items():
+        for nu, b in y.items():
+            for w, k in tensor_decompose(rs, mu, nu).entries.items():
+                out[w] = out.get(w, 0) + a * b * k
+    return IsoChar(out)
+
+
+def test_gch_N_satisfies_the_simply_laced_q_system():
+    # (Q^(a)_m)^2 = Q^(a)_(m+1) Q^(a)_(m-1) + prod over the neighbours b of a
+    # of Q^(b)_m (Kirillov-Reshetikhin 1987; Nakajima 2003 for simply laced
+    # types), with each product decomposed by tensor_decompose.
+    count = 0
+    for label, top in (("A3", 3), ("A4", 2), ("D4", 2), ("D5", 2)):
+        rs = build_root_system(label)
+        for a in range(1, rs.rank + 1):
+            neighbours = [b for b in range(1, rs.rank + 1) if b != a and rs.cartan[a - 1][b - 1]]
+            for m in range(1, top + 1):
+                q = _kr_q(rs, a, m)
+                rest = {(0,) * rs.rank: 1}
+                for b in neighbours:
+                    rest = _iso_product(rs, rest, _kr_q(rs, b, m)).entries
+                lhs = _iso_product(rs, q, q)
+                rhs = _iso_product(rs, _kr_q(rs, a, m + 1), _kr_q(rs, a, m - 1)) + IsoChar(rest)
+                assert lhs == rhs, (label, a, m)
+                count += 1
+    assert count == 35
+
+
 # -- other classical families ---------------------------------------------------------
 
 @pytest.mark.parametrize("label,lam_terms", [

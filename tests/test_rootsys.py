@@ -272,6 +272,39 @@ def test_weyl_orbit_walks_only_the_given_nodes():
     assert weyl_orbit(a2, (1, 0), (1,)) == {(1, 0): 1}
 
 
+# -- dominant weights below a weight -------------------------------------------
+
+def _unpruned_dominant_weights_below(rs, lam):
+    """Reference: the walk trying every positive root from every weight."""
+    found = {lam: (0,) * rs.rank}
+    todo = [lam]
+    while todo:
+        mu = todo.pop()
+        coords = found[mu]
+        for root in rs.positive_roots:
+            nu = sub_weights(mu, root.weight)
+            if nu not in found and min(nu) >= 0:
+                found[nu] = tuple(c + r for c, r in zip(coords, root.coords))
+                todo.append(nu)
+    return sorted(found.items(), key=lambda item: sum(item[1]))
+
+
+def test_the_pruned_walk_lists_the_unpruned_walk_in_its_order():
+    # Skipping the roots positive at a zero of mu changes neither the
+    # weights nor their root coordinates nor their order.
+    labels = [f"A{n}" for n in range(1, 6)] + [f"B{n}" for n in range(2, 6)]
+    labels += [f"C{n}" for n in range(2, 6)] + ["D4", "D5"]
+    count = 0
+    for label in labels:
+        rs = build_root_system(label)
+        for lam in product(range(4), repeat=rs.rank):
+            if sum(lam) <= 3:
+                got = list(rootsys.dominant_weights_below(rs, lam).items())
+                assert got == _unpruned_dominant_weights_below(rs, lam), (label, lam)
+                count += 1
+    assert count == 458
+
+
 # -- Weyl dimension -----------------------------------------------------------
 
 def test_weyl_dim_examples():
@@ -323,6 +356,38 @@ def test_weyl_dim_matches_the_fraction_product(label):
     rs = build_root_system(label)
     for lam in product(range(3), repeat=rs.rank):
         assert weyl_dim(rs, lam) == _weyl_dim_fraction(rs, lam)
+
+
+def _pairings_by_height(rs, lam) -> list[int]:
+    """(lam + rho, beta) for every positive root beta, from the simple roots
+    up: (lam + rho, alpha_i) = d_i (lam_i + 1), and a higher beta adds one
+    alpha_i to the lower root beta - alpha_i."""
+    d = rs.half_lengths
+    pairing = {}
+    for root in rs.positive_roots:  # in order of height
+        c = root.coords
+        for i in range(rs.rank):
+            lower = c[:i] + (c[i] - 1,) + c[i + 1:]
+            if c[i] and (not any(lower) or lower in pairing):
+                pairing[c] = pairing.get(lower, 0) + d[i] * (lam[i] + 1)
+                break
+    assert len(pairing) == len(rs.positive_roots)
+    return list(pairing.values())
+
+
+def test_weyl_dim_matches_the_height_order_recurrence():
+    count = 0
+    labels = [f"A{n}" for n in range(1, 6)] + [f"B{n}" for n in range(2, 6)]
+    labels += [f"C{n}" for n in range(2, 6)] + [f"D{n}" for n in range(4, 7)]
+    for label in labels:
+        rs = build_root_system(label)
+        den = math.prod(_pairings_by_height(rs, (0,) * rs.rank))
+        for lam in product(range(3), repeat=rs.rank):
+            if sum(lam) <= 4:
+                num = math.prod(_pairings_by_height(rs, lam))
+                assert num % den == 0 and weyl_dim(rs, lam) == num // den, (label, lam)
+                count += 1
+    assert count == 851
 
 
 # -- root coordinates ---------------------------------------------------------
