@@ -203,7 +203,8 @@ def gch_N(rs: RootSystem, lam, ell: int) -> GradedChar:
     """Graded character of the generalized Kirillov-Reshetikhin module with
     highest weight lam over ell grading variables, based at degree zero,
     read off symmetric powers (:func:`gch_P_direct`) on Gamma_{psi_lam}."""
-    lam, ell = require_dominant(rs, lam), require_ell(ell)  # before the lookup, as in freudenthal
+    # Before the lookup: 1.0 would hit the key of 1.
+    lam, ell = require_dominant(rs, lam), require_ell(ell)
     key = (rs.lie_type, lam, ell)
     hit = _gch_n_cache.get(key)
     if hit is not None:

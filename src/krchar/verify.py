@@ -99,88 +99,75 @@ def _kr_gamma(rs, lam, ell):
 
 # -- closed formulas and worked values --------------------------------------------
 
-def _expected_2omega3(ell: int) -> GradedChar:
-    w = lambda *terms: omega_weight(5, *terms)
-    entries = {(w((3, 2)), (0,) * ell): 1}
-    for j in range(ell):
-        e = tuple(int(i == j) for i in range(ell))
-        entries[(w((3, 1), (1, 1)), e)] = 1
-    for j in range(ell):
-        for k in range(j + 1, ell):
-            r = tuple(int(i in (j, k)) for i in range(ell))
-            entries[(w((2, 1)), r)] = 1
-    for r in compositions(2, ell):
-        entries[(w((1, 2)), r)] = 1
-    for j in range(ell):
-        for k in range(j + 1, ell):
-            for l in range(k + 1, ell):
-                r = tuple(int(i in (j, k, l)) for i in range(ell))
-                entries[((0,) * 5, r)] = 1
+def _cauchy_char(ell: int, terms) -> GradedChar:
+    """The sum over the terms (mu, d, squarefree) of V(mu) h_d(t), or
+    V(mu) e_d(t) where squarefree, in ell grading variables: h_d has one
+    monomial for each composition of d into ell parts, e_d only those with
+    every entry 0 or 1."""
+    entries: dict = {}
+    for mu, d, squarefree in terms:
+        for r in compositions(d, ell):
+            if not squarefree or max(r) <= 1:
+                entries[mu, r] = entries.get((mu, r), 0) + 1
     return GradedChar(entries)
 
 
+def _over_closed_forms(name: str, detail: str, cases) -> CheckResult:
+    """Compare gch_N(rs, lam, ell) with :func:`_cauchy_char` of ``terms`` for
+    each case ``(where, rs, lam, ell, terms)``, stopping at the first
+    mismatch.  ``gch_N`` is looked up on each call, so a rebinding of the
+    module attribute takes effect."""
+    for where, rs, lam, ell, terms in cases:
+        if gch_N(rs, lam, ell) != _cauchy_char(ell, terms):
+            return _fail(name, where)
+    return _ok(name, detail)
+
+
 def check_gch_2omega3() -> CheckResult:
-    name = "gchN-D5-2omega3"
+    # V(2 omega_3) + V(omega_1 + omega_3) h_1 + V(omega_2) e_2 + V(2 omega_1) h_2 + V(0) e_3.
     rs = build_root_system("D5")
-    lam = omega_weight(5, (3, 2))
-    for ell in (1, 2, 3):
-        got = gch_N(rs, lam, ell)
-        expected = _expected_2omega3(ell)
-        if got != expected:
-            return _fail(name, f"ell={ell}: characters differ")
-        omega2_present = any(w == omega_weight(5, (2, 1)) for (w, _) in got.entries)
-        trivial_present = any(w == (0,) * 5 for (w, _) in got.entries)
-        if omega2_present != (ell >= 2):
-            return _fail(name, f"ell={ell}: omega_2 term presence wrong")
-        if trivial_present != (ell >= 3):
-            return _fail(name, f"ell={ell}: trivial term presence wrong")
-    return _ok(name, "ell=1,2,3 exact")
+    w = lambda *terms: omega_weight(5, *terms)
+    terms = ((w((3, 2)), 0, False), (w((3, 1), (1, 1)), 1, False), (w((2, 1)), 2, True),
+             (w((1, 2)), 2, False), ((0,) * 5, 3, True))
+    return _over_closed_forms("gchN-D5-2omega3", "ell=1,2,3 exact", (
+        (f"ell={ell}: characters differ", rs, w((3, 2)), ell, terms) for ell in (1, 2, 3)))
 
 
 def check_closed_formula_momega2() -> CheckResult:
-    name = "closed-form-m-omega2"
+    # The sum over k <= m of V((m - k) omega_2) h_k.
+    cases = []
     for label in ("D4", "D5"):
         rs = build_root_system(label)
         for m in range(1, 5):
-            for ell in (1, 2, 3):
-                lam = omega_weight(rs.rank, (2, m))
-                expected = GradedChar({
-                    (omega_weight(rs.rank, (2, m - k)), r): 1
-                    for k in range(m + 1)
-                    for r in compositions(k, ell)
-                })
-                if gch_N(rs, lam, ell) != expected:
-                    return _fail(name, f"{label}, m={m}, ell={ell}")
-    return _ok(name, "D4/D5, m<=4, ell<=3 exact")
+            lam = omega_weight(rs.rank, (2, m))
+            terms = [(omega_weight(rs.rank, (2, m - k)), k, False) for k in range(m + 1)]
+            cases += [(f"{label}, m={m}, ell={ell}", rs, lam, ell, terms) for ell in (1, 2, 3)]
+    return _over_closed_forms("closed-form-m-omega2", "D4/D5, m<=4, ell<=3 exact", cases)
 
 
 def check_ell1_momega3() -> CheckResult:
-    name = "ell1-m-omega3-D5"
+    # The sum over r <= m of V((m - r) omega_3 + r omega_1) t^r.
     rs = build_root_system("D5")
-    for m in (1, 2, 3):
-        lam = omega_weight(5, (3, m))
-        expected = GradedChar({
-            (omega_weight(5, (3, m - r), (1, r)), (r,)): 1 for r in range(m + 1)
-        })
-        if gch_N(rs, lam, 1) != expected:
-            return _fail(name, f"m={m}")
-    return _ok(name, "m<=3 exact")
+    return _over_closed_forms("ell1-m-omega3-D5", "m<=3 exact", (
+        (f"m={m}", rs, omega_weight(5, (3, m)), 1,
+         [(omega_weight(5, (3, m - r), (1, r)), r, False) for r in range(m + 1)])
+        for m in (1, 2, 3)))
 
 
 def check_trivial_cases() -> CheckResult:
     name = "trivial-KR"
+    cases = []
     for label, nodes in (("D4", (1, 3, 4)), ("D5", (1, 4, 5))):
         rs = build_root_system(label)
         for i in nodes:
             for m in range(1, 5):
                 lam = omega_weight(rs.rank, (i, m))
                 for ell in (1, 2, 3):
-                    base, gamma = _kr_gamma(rs, lam, ell)
-                    if len(gamma) != 1:
+                    if len(_kr_gamma(rs, lam, ell)[1]) != 1:
                         return _fail(name, f"{label}, i={i}, m={m}: gamma not a singleton")
-                    if gch_N(rs, lam, ell) != GradedChar({(lam, (0,) * ell): 1}):
-                        return _fail(name, f"{label}, i={i}, m={m}, ell={ell}")
-    return _ok(name, "node 1 and spin nodes, m<=4")
+                    where = f"{label}, i={i}, m={m}, ell={ell}"
+                    cases.append((where, rs, lam, ell, [(lam, 0, False)]))
+    return _over_closed_forms(name, "node 1 and spin nodes, m<=4", cases)
 
 
 def check_psi_structure() -> CheckResult:

@@ -106,6 +106,34 @@ def test_matrix_checks_report_the_failing_triple(monkeypatch):
     ]
 
 
+def test_closed_form_checks_report_the_failing_case(monkeypatch):
+    # With one term dropped from gch_N in one case, each of the four
+    # closed-form checks fails there and names that case.
+    from krchar.graded import GradedChar
+    from krchar.rootsys import build_root_system, omega_weight
+
+    true_gch_N = verify.gch_N
+    cases = [
+        (verify.check_gch_2omega3, "D5", (3, 2), 2, "ell=2: characters differ"),
+        (verify.check_closed_formula_momega2, "D5", (2, 3), 2, "D5, m=3, ell=2"),
+        (verify.check_ell1_momega3, "D5", (3, 2), 1, "m=2"),
+        (verify.check_trivial_cases, "D4", (3, 2), 3, "D4, i=3, m=2, ell=3"),
+    ]
+    for check, label, node_m, ell, where in cases:
+        rs = build_root_system(label)
+        broken = (rs.lie_type, omega_weight(rs.rank, node_m), ell)
+
+        def dropped(rs, lam, ell):
+            got = true_gch_N(rs, lam, ell)
+            if (rs.lie_type, lam, ell) != broken:
+                return got
+            return GradedChar(dict(list(got.entries.items())[1:]))
+
+        monkeypatch.setattr(verify, "gch_N", dropped)
+        result = check()
+        assert (result.ok, result.detail) == (False, where), result
+
+
 def test_dominant_weight_oracle_agrees_with_the_peel_on_every_rank2_pair():
     # On each pair of the tensor check, its convolution must be the dominant
     # part of the full character product, and the Weyl-numerator inversion

@@ -748,6 +748,21 @@ def test_wedge_power_fold_at_and_beyond_the_top_degree(label):
             assert c_coefficient(rs, ms, lam, lam, (top + 1,)) == 0
 
 
+@pytest.mark.parametrize("label", ["A4", "B5", "C5", "D5"])
+def test_whole_fold_dimensions_are_binomial(label):
+    # Sym^d(g) (x) V(0) has dimension C(dim g + d - 1, d) and wedge^d(g) (x)
+    # V(0) has C(dim g, d).  Degree 6 on B5 and D5, and degree 7 on C5, need
+    # a Racah-Speiser descent of more than 10 reflections.
+    rs = build_root_system(label)
+    comp, zero = (rs.highest_root.weight,), (0,) * rs.rank
+    dim_g = weyl_dim(rs, comp[0])
+    for d in range(1, 9):
+        for kind, expected in (("sym", math.comb(dim_g + d - 1, d)), ("ext", math.comb(dim_g, d))):
+            fold = _fold(rs, kind, ((comp, d),), zero)
+            got = sum(f * weyl_dim(rs, tuple(c - 1 for c in mu)) for mu, f in fold.items())
+            assert got == expected, (kind, d)
+
+
 def test_each_fold_entry_costs_its_last_degree_in_kernel_passes(monkeypatch):
     # A cold gch run makes exactly d Racah-Speiser passes for each memoised
     # fold whose last factor has degree d, so no fold is ever recomputed.
