@@ -212,7 +212,7 @@ class RootSystem:
 
     def pair_root(self, xi, root: PositiveRoot) -> int:
         """(xi, beta) for a positive root beta; always an integer."""
-        return sum(m * c for m, c in zip(root.md, xi))
+        return sum(map(mul, root.md, xi))
 
     def __repr__(self) -> str:
         return f"RootSystem({self.lie_type})"
@@ -383,8 +383,9 @@ def weyl_dim(rs: RootSystem, lam) -> int:
     if hit is not None:
         return hit
     # Product of (lam + rho, beta) / (rho, beta), both integers in this
-    # normalisation; one division keeps the arithmetic in integers.
-    num = prod(rs.pair_root(lam, root) + root.md_sum for root in rs.positive_roots)
+    # normalisation; one division keeps the arithmetic in integers.  Each
+    # pairing is one C-level dot product: a list, not a generator per root.
+    num = prod([sum(map(mul, root.md, lam)) + root.md_sum for root in rs.positive_roots])
     value, rem = divmod(num, prod(root.md_sum for root in rs.positive_roots))
     if rem:
         raise AssertionError(f"non-integral Weyl dimension for {lam}")

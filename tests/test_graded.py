@@ -1,5 +1,7 @@
 """Tests for graded characters, Ext matrices and the verification identities."""
 
+from itertools import product
+
 import pytest
 
 from krchar.graded import (
@@ -517,6 +519,47 @@ def test_gch_N_satisfies_the_simply_laced_q_system():
                 assert lhs == rhs, (label, a, m)
                 count += 1
     assert count == 35
+
+
+# -- domino removal: the ungraded KR decomposition, graded by dominoes removed ----------
+
+def _domino_terms(rs, i, m):
+    """The (mu, degree, False) terms of gch_N(m omega_i) at ell = 1 (Chari,
+    IMRN 2001; Hatayama-Kuniba-Okado-Takagi-Yamada 1999), the degree being
+    the number of dominoes removed from the i x m rectangle.  B_n (i < n) and
+    D_n (i < n - 1) remove vertical dominoes: mu = sum of k_j omega_j over
+    j = i, i-2, ... (omega_0 = 0) with sum k_j = m, of degree
+    sum k_j (i - j)/2.  C_n (i < n) removes horizontal dominoes: mu runs over
+    the partitions inside (m^i) whose rows all differ from m by an even
+    number, of degree |(m^i)/mu|/2."""
+    n = rs.rank
+    if rs.lie_type.family == "C":
+        terms = []
+        for rows in product(range(m, -1, -2), repeat=i):
+            if all(a >= b for a, b in zip(rows, rows[1:])):
+                parts = zip(range(1, i + 1), rows, rows[1:] + (0,))
+                mu = omega_weight(n, *((r, a - b) for r, a, b in parts))
+                terms.append((mu, (m * i - sum(rows)) // 2, False))
+        return terms
+    nodes = range(i, -1, -2)
+    return [(omega_weight(n, *((j, kj) for j, kj in zip(nodes, k) if j)),
+             sum(kj * (i - j) for j, kj in zip(nodes, k)) // 2, False)
+            for k in compositions(m, len(nodes))]
+
+
+def test_gch_N_at_ell_1_is_domino_removal():
+    count = 0
+    for labels, top, below in ((("D4", "D5", "D6"), 2, 2), (("B3", "B4"), 2, 1),
+                               (("C3", "C4"), 3, 1)):
+        for label in labels:
+            rs = build_root_system(label)
+            for i in range(1, rs.rank - below + 1):
+                for m in range(1, top + 1):
+                    lam = omega_weight(rs.rank, (i, m))
+                    assert gch_N(rs, lam, 1) == verify._cauchy_char(1, _domino_terms(rs, i, m)), \
+                        (label, i, m)
+                    count += 1
+    assert count == 43
 
 
 # -- other classical families ---------------------------------------------------------

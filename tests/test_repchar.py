@@ -763,6 +763,36 @@ def test_whole_fold_dimensions_are_binomial(label):
             assert got == expected, (kind, d)
 
 
+def test_every_memoised_fold_of_a_gch_and_an_ext_column_has_its_binomial_dimension():
+    # Sym^{d_1}(V_1) (x) ... (x) Sym^{d_r}(V_r) (x) V(nu) has dimension
+    # dim V(nu) prod_i C(dim V_i + d_i - 1, d_i), and the wedge powers
+    # prod_i C(dim V_i, d_i), for every fold a cold gch_N and one Ext column
+    # of its Gamma leave in the memo: several layers, and nu != 0.
+    import krchar.repchar as repchar
+    from krchar.graded import _column, gch_N
+
+    lam, ell = (0, 0, 3, 0, 0), 3
+    clear_memo_caches()
+    try:
+        gch_N(D5, lam, ell)
+        gamma = gamma_psi(D5, psi_lambda(D5, lam), LambdaPoint(lam, (0,) * ell), ell)
+        point = gamma.points[1]  # degree one, so its Ext folds start from another nu
+        assert point.weight != lam and sum(point.degree) == 1
+        assert _column(D5, ModuleSpec.adjoint(D5, ell), gamma, point, c_coefficient)
+        folds = repchar._coeff_cache.items()
+        assert {(kind, nu) for (_, kind, _, nu), _ in folds} == {("sym", lam), ("ext", point.weight)}
+        assert max(len(factors) for (_, _, factors, _), _ in folds) == ell
+        for (_, kind, factors, nu), fold in folds:
+            expected = weyl_dim(D5, nu)
+            for comp, d in factors:
+                dim_v = sum(weyl_dim(D5, w) for w in comp)
+                expected *= math.comb(dim_v + d - 1, d) if kind == "sym" else math.comb(dim_v, d)
+            got = sum(f * weyl_dim(D5, tuple(c - 1 for c in mu)) for mu, f in fold.items())
+            assert got == expected, (kind, factors, nu)
+    finally:
+        clear_memo_caches()
+
+
 def test_each_fold_entry_costs_its_last_degree_in_kernel_passes(monkeypatch):
     # A cold gch run makes exactly d Racah-Speiser passes for each memoised
     # fold whose last factor has degree d, so no fold is ever recomputed.

@@ -342,10 +342,19 @@ def test_weyl_dim_textbook_values():
 
 
 def _weyl_dim_fraction(rs, lam) -> int:
-    """Reference: the Weyl product formula as a product of Fractions."""
+    """Reference: the Weyl product formula as a product of Fractions, with
+    (x, beta) = sum_i c_i d_i x_i for beta = sum_i c_i alpha_i, read from the
+    root coordinates and half lengths, not from ``pair_root``."""
+    d = rs.half_lengths
+
+    def pair(x, root):
+        return sum(c * d[i] * x[i] for i, c in enumerate(root.coords))
+
+    rho = (1,) * rs.rank
+    lam_rho = tuple(a + 1 for a in lam)
     dim = Fraction(1)
     for root in rs.positive_roots:
-        dim *= Fraction(rs.pair_root(lam, root) + root.md_sum, root.md_sum)
+        dim *= Fraction(pair(lam_rho, root), pair(rho, root))
     assert dim.denominator == 1
     return int(dim)
 
@@ -376,18 +385,22 @@ def _pairings_by_height(rs, lam) -> list[int]:
 
 
 def test_weyl_dim_matches_the_height_order_recurrence():
+    # Coordinate sum at most 4 on A1-A5, B2-B5, C2-C5 and D4-D6, and at most
+    # 2 on A6-A8, B6-B8, C6-C8, D7 and D8.
     count = 0
-    labels = [f"A{n}" for n in range(1, 6)] + [f"B{n}" for n in range(2, 6)]
-    labels += [f"C{n}" for n in range(2, 6)] + [f"D{n}" for n in range(4, 7)]
-    for label in labels:
+    labels = [(f"A{n}", 4) for n in range(1, 6)] + [(f"B{n}", 4) for n in range(2, 6)]
+    labels += [(f"C{n}", 4) for n in range(2, 6)] + [(f"D{n}", 4) for n in range(4, 7)]
+    labels += [(f"{family}{n}", 2) for family in "ABC" for n in range(6, 9)]
+    labels += [("D7", 2), ("D8", 2)]
+    for label, top in labels:
         rs = build_root_system(label)
         den = math.prod(_pairings_by_height(rs, (0,) * rs.rank))
         for lam in product(range(3), repeat=rs.rank):
-            if sum(lam) <= 4:
+            if sum(lam) <= top:
                 num = math.prod(_pairings_by_height(rs, lam))
                 assert num % den == 0 and weyl_dim(rs, lam) == num // den, (label, lam)
                 count += 1
-    assert count == 851
+    assert count == 1259
 
 
 # -- root coordinates ---------------------------------------------------------
