@@ -369,7 +369,7 @@ def _racah_speiser(rs: RootSystem, dominant: Mapping, start: Mapping, out: dict)
     nodes = range(rs.rank)
     starts = start.items()
     for mu, m in dominant.items():
-        if min(mu) < 0:  # weyl_orbit would walk only part of its orbit
+        if min(mu) < 0:  # weyl_orbit refuses it too, but names no caller
             raise AssertionError(f"Racah-Speiser kernel given the non-dominant weight {mu}")
         for w in weyl_orbit(rs, mu, nodes):
             for shifted, k in starts:

@@ -11,11 +11,15 @@ of a simple module, and the Freudenthal multiplicities start from it; the
 Gamma sets of :mod:`poset` walk by psi-steps instead and never call it.
 :func:`weyl_orbit` is the one orbit walk: the Racah-Speiser kernel,
 Freudenthal's spread, the stabilizer orbits of the roots and the Weyl-group
-table of ``verify`` use it.
+table of ``verify`` use it.  It walks each orbit shape (type, nodes, zero
+pattern) once, records the walk, and replays it for every later weight of
+that shape; the recorded walks are root-system data and live as long as
+the process.
 """
 
 from __future__ import annotations
 
+from array import array
 from functools import lru_cache
 from math import prod
 from operator import add, mul, not_, sub
@@ -147,6 +151,11 @@ class RootSystem:
         self.cartan_rows = tuple(
             tuple((j, a) for j, a in enumerate(row) if a) for row in self.cartan
         )
+        # (j, -cartan[i][j]) for the nodes j joined to i: s_i negates the
+        # coordinate at i, c, and adds c * -cartan[i][j] at each such j.
+        self.reflection_links = tuple(
+            tuple((j, -a) for j, a in row if j != i) for i, row in enumerate(self.cartan_rows)
+        )
         self.half_lengths = _half_lengths(lie_type)
         self.positive_roots = self._close_positive_roots()
         expected = _EXPECTED_ROOT_COUNT[lie_type.family](n)
@@ -174,6 +183,9 @@ class RootSystem:
             self.spin_nodes = frozenset({n - 1, n})
         else:
             self.spin_nodes = frozenset()
+        # The product of (rho, beta) over the positive roots: the denominator
+        # of the Weyl dimension formula.
+        self.rho_product = prod(root.md_sum for root in self.positive_roots)
 
     # -- construction -----------------------------------------------------
 
@@ -223,36 +235,87 @@ def _cached_root_system(t: LieType) -> RootSystem:
     return RootSystem(t)
 
 
+# (type, nodes, zero pattern of x at nodes) -> the recorded walk of
+# :func:`weyl_orbit`: the walk index of each new element's parent, the node
+# it reflected at, and the sign of every element.  Root-system data like
+# :func:`stabilizer_orbits`, not a memo of results, so clear_memo_caches
+# leaves it; about 6 bytes per orbit element.
+_orbit_programs: dict[tuple, tuple[array, bytes, array]] = {}
+
+
 def weyl_orbit(rs: RootSystem, x, nodes) -> dict[Weight, int]:
     """The orbit of x under <s_i : i in nodes>, in walk order, each element
     mapped to (-1)^(number of reflections the walk took from x).
 
-    x must have no negative coordinate at ``nodes``.  The walk reflects only
-    at positive coordinates, so it only steps down, yet it reaches the whole
-    orbit: any other element has a negative coordinate at some node, and
-    reflecting there climbs toward x, so reversed, that chain steps down.
-    For a regular x such as rho every step down makes w one longer, so the
-    sign is sgn(w).
+    x must have no negative coordinate at ``nodes``; any other x is refused
+    as an internal error.  The walk reflects only at positive coordinates,
+    so it only steps down, yet it reaches the whole orbit: any other element
+    has a negative coordinate at some node, and reflecting there climbs
+    toward x, so reversed, that chain steps down.  For a regular x such as
+    rho every step down makes w one longer, so the sign is sgn(w).
+
+    The first walk for each zero pattern Z of x at J = ``nodes`` is recorded
+    and later x with the same pattern replay it.  For w in W_J and i in J,
+    <wx, alpha_i^vee> = <x, w^-1 alpha_i^vee>, and w^-1 alpha_i^vee is a
+    coroot of the subsystem of J: positive or negative, and orthogonal to x
+    exactly when it lies in the subsystem of Z, since x >= 0 at J.  So
+    whether the walk reflects at i depends only on w and Z.  The stabilizer
+    of x in W_J is W_Z (Humphreys, Introduction to Lie Algebras, 10.3), so
+    whether wx = w'x depends only on w, w' and Z too.  The walk of any x
+    with pattern Z takes the same steps in the same order, and the replay
+    applies them with no membership probe.
     """
-    rows = rs.cartan_rows
+    nodes = tuple(nodes)
+    at = [x[i] for i in nodes]
+    # Before the lookup: such an x shares its zero pattern with weights that
+    # are >= 0 at nodes, and its own walk covers only part of its orbit.
+    if at and min(at) < 0:
+        raise AssertionError(
+            f"weyl_orbit given {x}, negative at one of the nodes {list(nodes)}")
+    key = (rs.lie_type, nodes, tuple(map(not_, at)))
+    links = rs.reflection_links
+    program = _orbit_programs.get(key)
+    if program is not None:
+        parents, reflected, signs = program
+        walk = [x]
+        append = walk.append
+        for p, i in zip(parents, reflected):
+            y = walk[p]
+            c = y[i]
+            z = list(y)
+            z[i] = -c
+            for j, b in links[i]:
+                z[j] += c * b
+            append(tuple(z))
+        return dict(zip(walk, signs))
     orbit = {x: 1}
+    parents = array("I")
+    reflected = bytearray()
+    record_parent, record_node = parents.append, reflected.append
     level = [x]
+    first = 0  # walk index of level[0]
     sign = 1
     while level:  # breadth first: the elements of a level share a sign
         sign = -sign
         below = []
-        for y in level:
+        push = below.append
+        for p, y in enumerate(level, first):
             for i in nodes:
                 c = y[i]
                 if c > 0:
                     z = list(y)
-                    for j, a in rows[i]:
-                        z[j] -= c * a
+                    z[i] = -c
+                    for j, b in links[i]:
+                        z[j] += c * b
                     z = tuple(z)
                     if z not in orbit:
                         orbit[z] = sign
-                        below.append(z)
+                        push(z)
+                        record_parent(p)
+                        record_node(i)
+        first += len(level)
         level = below
+    _orbit_programs[key] = (parents, bytes(reflected), array("b", orbit.values()))
     return orbit
 
 
@@ -386,7 +449,7 @@ def weyl_dim(rs: RootSystem, lam) -> int:
     # normalisation; one division keeps the arithmetic in integers.  Each
     # pairing is one C-level dot product: a list, not a generator per root.
     num = prod([sum(map(mul, root.md, lam)) + root.md_sum for root in rs.positive_roots])
-    value, rem = divmod(num, prod(root.md_sum for root in rs.positive_roots))
+    value, rem = divmod(num, rs.rho_product)
     if rem:
         raise AssertionError(f"non-integral Weyl dimension for {lam}")
     _weyl_dim_cache[key] = value

@@ -272,6 +272,109 @@ def test_weyl_orbit_walks_only_the_given_nodes():
     assert weyl_orbit(a2, (1, 0), (1,)) == {(1, 0): 1}
 
 
+def _breadth_first_orbit(rs, x, nodes):
+    """Reference: the breadth-first walk with a membership probe for every
+    reflected weight, which weyl_orbit runs once per zero pattern."""
+    orbit = {x: 1}
+    level = [x]
+    sign = 1
+    while level:
+        sign = -sign
+        below = []
+        for y in level:
+            for i in nodes:
+                c = y[i]
+                if c > 0:
+                    z = tuple(a - c * b for a, b in zip(y, rs.cartan[i]))
+                    if z not in orbit:
+                        orbit[z] = sign
+                        below.append(z)
+        level = below
+    return orbit
+
+
+@pytest.fixture
+def fresh_programs(monkeypatch):
+    """An empty table of recorded walks for the test, the shared one after."""
+    table = {}
+    monkeypatch.setattr(rootsys, "_orbit_programs", table)
+    return table
+
+
+ORBIT_LABELS = [f"A{n}" for n in range(1, 6)] + [f"{family}{n}" for family in "BC"
+                                                 for n in range(2, 6)] + ["D4", "D5"]
+
+
+@pytest.mark.parametrize("label", ORBIT_LABELS)
+def test_a_replayed_walk_lists_the_walk_in_its_order_with_its_signs(label, fresh_programs):
+    # Every zero pattern Z at the full node set and at every zero set that
+    # stabilizer_orbits walks (any subset J of the nodes).  The first weight
+    # with a pattern records the walk, the second replays it; it has other
+    # positive coordinates, and coordinates off J of any sign, which the
+    # walk never reflects at.
+    rs = build_root_system(label)
+    n = rs.rank
+    rng = random.Random(f"orbit replay {label}")
+    replays = 0
+    for size in range(n + 1):
+        for nodes in combinations(range(n), size):
+            walk_nodes = range(n) if size == n else nodes
+            for zeros in product((False, True), repeat=size):
+                first, second = [rng.randint(-2, 2) for _ in range(n)], [0] * n
+                for i, z in zip(nodes, zeros):
+                    first[i] = 0 if z else 1
+                    second[i] = 0 if z else rng.randint(2, 4)
+                for i in set(range(n)) - set(nodes):
+                    second[i] = rng.randint(-3, 3)
+                before = len(fresh_programs)
+                for x in (tuple(first), tuple(second)):
+                    got = weyl_orbit(rs, x, walk_nodes)
+                    assert list(got.items()) == list(_breadth_first_orbit(rs, x, nodes).items())
+                assert len(fresh_programs) == before + 1
+                replays += 1
+    assert replays == 3 ** n
+
+
+def test_a_multiple_of_a_weight_replays_its_walk(fresh_programs):
+    # 3 omega_i has the zero pattern of omega_i: no new walk is recorded.
+    rs = build_root_system("D5")
+    nodes = range(5)
+    for i in range(5):
+        omega = omega_weight(5, (i + 1, 1))
+        weyl_orbit(rs, omega, nodes)
+        recorded = dict(fresh_programs)
+        triple = omega_weight(5, (i + 1, 3))
+        got = weyl_orbit(rs, triple, nodes)
+        assert fresh_programs == recorded
+        assert list(got.items()) == list(_breadth_first_orbit(rs, triple, nodes).items())
+
+
+def test_clearing_the_memo_tables_keeps_the_recorded_walks(fresh_programs):
+    from krchar.repchar import clear_memo_caches
+
+    rs = build_root_system("B3")
+    weyl_orbit(rs, (1, 0, 2), range(3))
+    recorded = dict(fresh_programs)
+    clear_memo_caches()
+    assert rootsys._orbit_programs is fresh_programs and fresh_programs == recorded
+
+
+def test_weyl_orbit_refuses_a_negative_coordinate_before_the_lookup(fresh_programs):
+    # (1, -1) has the zero pattern of (1, 1) at both A2 nodes: replaying the
+    # walk of (1, 1) on it, or recording its partial walk, would be wrong.
+    a2 = build_root_system("A2")
+    with pytest.raises(AssertionError, match="negative at one of the nodes"):
+        weyl_orbit(a2, (1, -1), range(2))
+    assert fresh_programs == {}
+    weyl_orbit(a2, (1, 1), range(2))
+    recorded = dict(fresh_programs)
+    with pytest.raises(AssertionError, match="negative at one of the nodes"):
+        weyl_orbit(a2, (1, -1), range(2))
+    assert fresh_programs == recorded
+    # A negative coordinate off the nodes is never reflected at.
+    assert weyl_orbit(a2, (1, -1), (0,)) == {(1, -1): 1, (-1, 0): -1}
+
+
 # -- dominant weights below a weight -------------------------------------------
 
 def _unpruned_dominant_weights_below(rs, lam):
@@ -401,6 +504,18 @@ def test_weyl_dim_matches_the_height_order_recurrence():
                 assert num % den == 0 and weyl_dim(rs, lam) == num // den, (label, lam)
                 count += 1
     assert count == 1259
+
+
+@pytest.mark.parametrize("t", [t for t in CLASSICAL_TYPES_TO_RANK_10 if t.rank <= 8], ids=str)
+def test_rho_product_is_the_product_of_the_rho_pairings(t):
+    # (rho, beta) = sum_i c_i d_i for beta = sum_i c_i alpha_i, read from the
+    # root coordinates and half lengths; the height-order recurrence at
+    # lam = 0 gives the same pairings.
+    rs = build_root_system(t)
+    d = rs.half_lengths
+    expected = math.prod(sum(c * d[i] for i, c in enumerate(root.coords))
+                         for root in rs.positive_roots)
+    assert rs.rho_product == expected == math.prod(_pairings_by_height(rs, (0,) * rs.rank))
 
 
 # -- root coordinates ---------------------------------------------------------
