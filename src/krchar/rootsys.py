@@ -239,8 +239,8 @@ def _cached_root_system(t: LieType) -> RootSystem:
 # :func:`weyl_orbit`: the walk index of each new element's parent, the node
 # it reflected at, and the sign of every element.  Root-system data like
 # :func:`stabilizer_orbits`, not a memo of results, so clear_memo_caches
-# leaves it; about 6 bytes per orbit element.
-_orbit_programs: dict[tuple, tuple[array, bytes, array]] = {}
+# leaves it; about 6 bytes per orbit element (7 above rank 256).
+_orbit_programs: dict[tuple, tuple[array, array, array]] = {}
 
 
 def weyl_orbit(rs: RootSystem, x, nodes) -> dict[Weight, int]:
@@ -290,7 +290,7 @@ def weyl_orbit(rs: RootSystem, x, nodes) -> dict[Weight, int]:
         return dict(zip(walk, signs))
     orbit = {x: 1}
     parents = array("I")
-    reflected = bytearray()
+    reflected = array("B" if rs.rank <= 256 else "H")  # one byte while a node fits
     record_parent, record_node = parents.append, reflected.append
     level = [x]
     first = 0  # walk index of level[0]
@@ -315,7 +315,7 @@ def weyl_orbit(rs: RootSystem, x, nodes) -> dict[Weight, int]:
                         record_node(i)
         first += len(level)
         level = below
-    _orbit_programs[key] = (parents, bytes(reflected), array("b", orbit.values()))
+    _orbit_programs[key] = (parents, reflected, array("b", orbit.values()))
     return orbit
 
 

@@ -349,6 +349,28 @@ def test_a_multiple_of_a_weight_replays_its_walk(fresh_programs):
         assert list(got.items()) == list(_breadth_first_orbit(rs, triple, nodes).items())
 
 
+def test_a_walk_records_nodes_past_255(fresh_programs):
+    # The orbit of omega_257 in A257 reflects at node index 256, which no
+    # byte holds.  weyl_orbit reads only the type, the rank and the
+    # reflection links (and the oracle the Cartan rows), so a stand-in for
+    # the A257 root system, which takes seconds to build, is enough.
+    from types import SimpleNamespace
+
+    n = 257
+    cartan = [[2 if j == i else -1 if abs(j - i) == 1 else 0 for j in range(n)]
+              for i in range(n)]
+    rs = SimpleNamespace(
+        lie_type=rootsys.LieType("A", n), rank=n, cartan=cartan,
+        reflection_links=tuple(tuple((j, 1) for j in (i - 1, i + 1) if 0 <= j < n)
+                               for i in range(n)))
+    for m in (1, 2):  # the first walk records, the second replays
+        x = omega_weight(n, (n, m))
+        got = weyl_orbit(rs, x, range(n))
+        assert len(got) == n + 1
+        assert list(got.items()) == list(_breadth_first_orbit(rs, x, range(n)).items())
+    assert len(fresh_programs) == 1
+
+
 def test_clearing_the_memo_tables_keeps_the_recorded_walks(fresh_programs):
     from krchar.repchar import clear_memo_caches
 
