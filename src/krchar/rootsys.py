@@ -11,10 +11,10 @@ of a simple module, and the Freudenthal multiplicities start from it; the
 Gamma sets of :mod:`poset` walk by psi-steps instead and never call it.
 :func:`weyl_orbit` is the one orbit walk: the Racah-Speiser kernel,
 Freudenthal's spread, the stabilizer orbits of the roots and the Weyl-group
-table of ``verify`` use it.  It walks each orbit shape (type, nodes, zero
-pattern) once, records the walk, and replays it for every later weight of
-that shape; the recorded walks are root-system data and live as long as
-the process.
+table of ``verify`` use it.  It records the second walk of each orbit shape
+(type, nodes, zero pattern) and replays it for every later weight of that
+shape; the recorded walks are root-system data and live as long as the
+process.
 """
 
 from __future__ import annotations
@@ -237,10 +237,11 @@ def _cached_root_system(t: LieType) -> RootSystem:
 
 # (type, nodes, zero pattern of x at nodes) -> the recorded walk of
 # :func:`weyl_orbit`: the walk index of each new element's parent, the node
-# it reflected at, and the sign of every element.  Root-system data like
-# :func:`stabilizer_orbits`, not a memo of results, so clear_memo_caches
-# leaves it; about 6 bytes per orbit element (7 above rank 256).
-_orbit_programs: dict[tuple, tuple[array, array, array]] = {}
+# it reflected at, and the sign of every element; None while the key has
+# been walked only once.  Root-system data like :func:`stabilizer_orbits`,
+# not a memo of results, so clear_memo_caches leaves it; about 6 bytes per
+# orbit element (7 above rank 256).
+_orbit_programs: dict[tuple, tuple[array, array, array] | None] = {}
 
 
 def weyl_orbit(rs: RootSystem, x, nodes) -> dict[Weight, int]:
@@ -254,8 +255,10 @@ def weyl_orbit(rs: RootSystem, x, nodes) -> dict[Weight, int]:
     toward x, so reversed, that chain steps down.  For a regular x such as
     rho every step down makes w one longer, so the sign is sgn(w).
 
-    The first walk for each zero pattern Z of x at J = ``nodes`` is recorded
-    and later x with the same pattern replay it.  For w in W_J and i in J,
+    The second walk for each zero pattern Z of x at J = ``nodes`` is
+    recorded and later x with the same pattern replay it.  The first walk
+    records nothing: recording adds 10-20 % to a walk, and most patterns of
+    one large product never recur.  For w in W_J and i in J,
     <wx, alpha_i^vee> = <x, w^-1 alpha_i^vee>, and w^-1 alpha_i^vee is a
     coroot of the subsystem of J: positive or negative, and orthogonal to x
     exactly when it lies in the subsystem of Z, since x >= 0 at J.  So
@@ -275,7 +278,7 @@ def weyl_orbit(rs: RootSystem, x, nodes) -> dict[Weight, int]:
     key = (rs.lie_type, nodes, tuple(map(not_, at)))
     links = rs.reflection_links
     program = _orbit_programs.get(key)
-    if program is not None:
+    if program:
         parents, reflected, signs = program
         walk = [x]
         append = walk.append
@@ -288,6 +291,7 @@ def weyl_orbit(rs: RootSystem, x, nodes) -> dict[Weight, int]:
                 z[j] += c * b
             append(tuple(z))
         return dict(zip(walk, signs))
+    record = key in _orbit_programs  # walked once before
     orbit = {x: 1}
     parents = array("I")
     reflected = array("B" if rs.rank <= 256 else "H")  # one byte while a node fits
@@ -311,11 +315,12 @@ def weyl_orbit(rs: RootSystem, x, nodes) -> dict[Weight, int]:
                     if z not in orbit:
                         orbit[z] = sign
                         push(z)
-                        record_parent(p)
-                        record_node(i)
+                        if record:
+                            record_parent(p)
+                            record_node(i)
         first += len(level)
         level = below
-    _orbit_programs[key] = (parents, reflected, array("b", orbit.values()))
+    _orbit_programs[key] = (parents, reflected, array("b", orbit.values())) if record else None
     return orbit
 
 

@@ -274,7 +274,7 @@ def test_weyl_orbit_walks_only_the_given_nodes():
 
 def _breadth_first_orbit(rs, x, nodes):
     """Reference: the breadth-first walk with a membership probe for every
-    reflected weight, which weyl_orbit runs once per zero pattern."""
+    reflected weight, which weyl_orbit runs at most twice per zero pattern."""
     orbit = {x: 1}
     level = [x]
     sign = 1
@@ -309,9 +309,10 @@ ORBIT_LABELS = [f"A{n}" for n in range(1, 6)] + [f"{family}{n}" for family in "B
 def test_a_replayed_walk_lists_the_walk_in_its_order_with_its_signs(label, fresh_programs):
     # Every zero pattern Z at the full node set and at every zero set that
     # stabilizer_orbits walks (any subset J of the nodes).  The first weight
-    # with a pattern records the walk, the second replays it; it has other
-    # positive coordinates, and coordinates off J of any sign, which the
-    # walk never reflects at.
+    # with a pattern is walked, the second is walked and recorded, the third
+    # replays the record; the later two have other positive coordinates, and
+    # all three have coordinates off J of any sign, which the walk never
+    # reflects at.
     rs = build_root_system(label)
     n = rs.rank
     rng = random.Random(f"orbit replay {label}")
@@ -320,33 +321,33 @@ def test_a_replayed_walk_lists_the_walk_in_its_order_with_its_signs(label, fresh
         for nodes in combinations(range(n), size):
             walk_nodes = range(n) if size == n else nodes
             for zeros in product((False, True), repeat=size):
-                first, second = [rng.randint(-2, 2) for _ in range(n)], [0] * n
-                for i, z in zip(nodes, zeros):
-                    first[i] = 0 if z else 1
-                    second[i] = 0 if z else rng.randint(2, 4)
-                for i in set(range(n)) - set(nodes):
-                    second[i] = rng.randint(-3, 3)
+                weights = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(3)]
+                for k, x in enumerate(weights):
+                    for i, z in zip(nodes, zeros):
+                        x[i] = 0 if z else 1 if k == 0 else rng.randint(2, 4)
                 before = len(fresh_programs)
-                for x in (tuple(first), tuple(second)):
+                for k, x in enumerate(map(tuple, weights)):
                     got = weyl_orbit(rs, x, walk_nodes)
                     assert list(got.items()) == list(_breadth_first_orbit(rs, x, nodes).items())
-                assert len(fresh_programs) == before + 1
+                    assert len(fresh_programs) == before + 1
+                    assert (list(fresh_programs.values())[-1] is None) == (k == 0)
                 replays += 1
     assert replays == 3 ** n
 
 
 def test_a_multiple_of_a_weight_replays_its_walk(fresh_programs):
-    # 3 omega_i has the zero pattern of omega_i: no new walk is recorded.
+    # 3 omega_i has the zero pattern of omega_i: it adds no table entry, it
+    # records the walk, and 2 omega_i replays it.
     rs = build_root_system("D5")
     nodes = range(5)
     for i in range(5):
-        omega = omega_weight(5, (i + 1, 1))
-        weyl_orbit(rs, omega, nodes)
-        recorded = dict(fresh_programs)
-        triple = omega_weight(5, (i + 1, 3))
-        got = weyl_orbit(rs, triple, nodes)
-        assert fresh_programs == recorded
-        assert list(got.items()) == list(_breadth_first_orbit(rs, triple, nodes).items())
+        weyl_orbit(rs, omega_weight(5, (i + 1, 1)), nodes)
+        keys = list(fresh_programs)
+        for m in (3, 2):
+            x = omega_weight(5, (i + 1, m))
+            got = weyl_orbit(rs, x, nodes)
+            assert list(fresh_programs) == keys and fresh_programs[keys[-1]] is not None
+            assert list(got.items()) == list(_breadth_first_orbit(rs, x, nodes).items())
 
 
 def test_a_walk_records_nodes_past_255(fresh_programs):
@@ -363,12 +364,13 @@ def test_a_walk_records_nodes_past_255(fresh_programs):
         lie_type=rootsys.LieType("A", n), rank=n, cartan=cartan,
         reflection_links=tuple(tuple((j, 1) for j in (i - 1, i + 1) if 0 <= j < n)
                                for i in range(n)))
-    for m in (1, 2):  # the first walk records, the second replays
+    for m in (1, 2, 3):  # walked, walked and recorded, replayed
         x = omega_weight(n, (n, m))
         got = weyl_orbit(rs, x, range(n))
         assert len(got) == n + 1
         assert list(got.items()) == list(_breadth_first_orbit(rs, x, range(n)).items())
-    assert len(fresh_programs) == 1
+    [(parents, reflected, signs)] = fresh_programs.values()
+    assert reflected.typecode == "H" and max(reflected) == n - 1
 
 
 def test_clearing_the_memo_tables_keeps_the_recorded_walks(fresh_programs):
@@ -376,7 +378,9 @@ def test_clearing_the_memo_tables_keeps_the_recorded_walks(fresh_programs):
 
     rs = build_root_system("B3")
     weyl_orbit(rs, (1, 0, 2), range(3))
+    weyl_orbit(rs, (2, 0, 1), range(3))
     recorded = dict(fresh_programs)
+    assert None not in recorded.values()
     clear_memo_caches()
     assert rootsys._orbit_programs is fresh_programs and fresh_programs == recorded
 
@@ -388,8 +392,10 @@ def test_weyl_orbit_refuses_a_negative_coordinate_before_the_lookup(fresh_progra
     with pytest.raises(AssertionError, match="negative at one of the nodes"):
         weyl_orbit(a2, (1, -1), range(2))
     assert fresh_programs == {}
-    weyl_orbit(a2, (1, 1), range(2))
+    for x in ((1, 1), (2, 1)):  # walked, then recorded
+        weyl_orbit(a2, x, range(2))
     recorded = dict(fresh_programs)
+    assert None not in recorded.values()
     with pytest.raises(AssertionError, match="negative at one of the nodes"):
         weyl_orbit(a2, (1, -1), range(2))
     assert fresh_programs == recorded
