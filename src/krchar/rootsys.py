@@ -240,7 +240,9 @@ def _cached_root_system(t: LieType) -> RootSystem:
 # it reflected at, and the sign of every element; None while the key has
 # been walked only once.  Root-system data like :func:`stabilizer_orbits`,
 # not a memo of results, so clear_memo_caches leaves it; about 6 bytes per
-# orbit element (7 above rank 256).
+# orbit element (7 above rank 256).  Threads share it with no lock: an entry
+# is only ever set whole, to None or to a finished record, so a race costs a
+# walk, never a wrong orbit.
 _orbit_programs: dict[tuple, tuple[array, array, array] | None] = {}
 
 

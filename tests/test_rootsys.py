@@ -373,6 +373,40 @@ def test_a_walk_records_nodes_past_255(fresh_programs):
     assert reflected.typecode == "H" and max(reflected) == n - 1
 
 
+def test_threads_racing_on_the_table_get_the_reference_walks(fresh_programs):
+    # The table is shared with no lock.  A thread may overwrite an entry
+    # another one just stored, which costs a walk, but every entry it can
+    # store is None or a whole recorded walk, so every result stays exact.
+    import sys
+    import threading
+
+    rs = build_root_system("B3")
+    nodes = range(3)
+    weights = [(a, 0, b) for a in range(1, 4) for b in range(3)]
+    expected = {x: list(_breadth_first_orbit(rs, x, nodes).items()) for x in weights}
+    wrong = []
+
+    def worker(shift):
+        for _ in range(5):
+            for x in weights[shift:] + weights[:shift]:
+                if list(weyl_orbit(rs, x, nodes).items()) != expected[x]:
+                    wrong.append(x)
+            fresh_programs.clear()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(s,)) for s in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+
+
 def test_clearing_the_memo_tables_keeps_the_recorded_walks(fresh_programs):
     from krchar.repchar import clear_memo_caches
 
