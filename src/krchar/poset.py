@@ -90,8 +90,9 @@ def psi_lambda(rs: RootSystem, lam) -> PsiSet:
 def check_polytope_condition(rs: RootSystem, psi: PsiSet) -> bool:
     """Face test: psi is exactly the set of weights of the adjoint module on
     which the pairing with its barycentre b = sum(psi) is largest.  Passing
-    proves that b exposes psi as a face; a face of the Weyl-invariant adjoint
-    weight polytope always passes, since its barycentre exposes it."""
+    proves that psi is the face on which b is largest; a face of the
+    Weyl-invariant adjoint weight polytope always passes, since its barycentre
+    is largest on it and nowhere else."""
     table = rs.adjoint_coords
     if not psi.issubset(table):
         raise ValueError("psi is not contained in the weight set of the adjoint module")

@@ -1,5 +1,9 @@
-"""Exact feasibility test for small systems of rational linear constraints,
-and the face test built on it that ``verify`` uses as an independent oracle.
+"""Exact feasibility test for small systems of rational linear constraints.
+
+No module of the library calls it: ``verify`` imports this module only so
+that perfbench/tracer.py can resolve ``ratlp.feasible``.  The face of the
+adjoint weight polytope that ``verify``'s psi-sets check needs is certified in
+integers there, and the tests enumerate the faces as Weyl orbits.
 
 A single phase-1 simplex with Bland's rule over ``fractions.Fraction``; the
 problem sizes here (at most rank+1 unknowns and a few hundred constraints)
@@ -83,13 +87,3 @@ def feasible(equalities, inequalities, nvars: int) -> bool:
         obj = [x - f * y for x, y in zip(obj, tableau[best[1]])]
     objective_value = -obj[ncols]
     return objective_value == 0
-
-
-def exposes(face, points) -> bool:
-    """Decide whether some linear functional is constant on ``face`` and
-    strictly larger on every other point of ``points``."""
-    face = set(face)
-    nvars = len(next(iter(points))) + 1  # functional phi plus level c
-    equalities = [(list(nu) + [-1], 0) for nu in face]
-    inequalities = [(list(mu) + [-1], 1) for mu in points if mu not in face]
-    return feasible(equalities, inequalities, nvars)

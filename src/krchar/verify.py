@@ -13,7 +13,7 @@ import time
 from itertools import chain, repeat
 from typing import Callable, Iterator, NamedTuple
 
-from . import ratlp
+from . import ratlp  # Unused; kept only because perfbench/tracer.py resolves its feasible.
 from .graded import (
     GradedChar,
     ext_dim,
@@ -36,7 +36,6 @@ from .poset import (
 )
 from .repchar import (
     ModuleSpec,
-    adjoint_char,
     freudenthal,
     tensor_decompose,
 )
@@ -180,12 +179,18 @@ def check_psi_structure() -> CheckResult:
         theta = rs.highest_root.weight
         if psi_i(rs, 2) != {tuple(-c for c in theta)}:
             return _fail(name, f"{label}: psi_2 is not the negated highest root")
-        adj = adjoint_char(rs)
+        table = rs.adjoint_coords
         for i in range(1, rs.rank + 1):
-            # The exact LP proves the face condition independently of the
-            # integer test that checked_psi runs.
             psi = psi_i(rs, i)
-            if not ratlp.exposes(psi, adj.entries) or not check_psi_extra(rs, psi):
+            face = frozenset()  # the empty face, unless theta_i = 2
+            if rs.highest_root.coords[i - 1] == 2:
+                # (x, omega_i) is d_i times x's root coordinate at node i, so
+                # omega_i is smallest exactly where that coordinate is: a face
+                # certificate in integers that shares no code with psi_of_mu
+                # or with checked_psi's face test.
+                low = min(c[i - 1] for c in table.values())
+                face = {x for x, c in table.items() if c[i - 1] == low}
+            if psi != face or not check_psi_extra(rs, psi):
                 return _fail(name, f"{label}: psi_{i} is not a face meeting the support conditions")
     d5 = build_root_system("D5")
     if len(psi_i(d5, 3)) != 3:

@@ -134,6 +134,32 @@ def test_closed_form_checks_report_the_failing_case(monkeypatch):
         assert (result.ok, result.detail) == (False, where), result
 
 
+def test_psi_check_runs_without_the_lp(monkeypatch):
+    # psi-sets certifies each face in integers; an LP call would raise here.
+    from krchar import ratlp
+
+    def refused(*args, **kwargs):
+        raise AssertionError("psi-sets called the LP")
+
+    monkeypatch.setattr(ratlp, "feasible", refused)
+    assert verify.check_psi_structure() == ("psi-sets", True, "")
+
+
+def test_psi_check_refuses_a_psi_i_that_is_not_the_face_of_omega_i(monkeypatch):
+    # D5's psi_3 without one of its three roots is still a set of negative
+    # roots, but not the set on which omega_3 is smallest.
+    true_psi_i = verify.psi_i
+
+    def dropped(rs, i):
+        psi = true_psi_i(rs, i)
+        return psi - {min(psi)} if (str(rs.lie_type), i) == ("D5", 3) else psi
+
+    monkeypatch.setattr(verify, "psi_i", dropped)
+    result = verify.check_psi_structure()
+    assert (result.ok, result.detail) == (
+        False, "D5: psi_3 is not a face meeting the support conditions")
+
+
 def test_dominant_weight_oracle_agrees_with_the_peel_on_every_rank2_pair():
     # On each pair of the tensor check, its convolution must be the dominant
     # part of the full character product, and the Weyl-numerator inversion

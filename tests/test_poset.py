@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
@@ -24,10 +25,14 @@ from krchar.poset import (
     psi_lambda,
     psi_of_mu,
 )
-from krchar.ratlp import exposes
 from krchar.repchar import ModuleSpec, adjoint_char, clear_memo_caches, component_char
 from krchar.rootsys import build_root_system, dominant_weights_below, omega_weight, sub_weights
-from test_rootsys import fraction_root_coords
+from test_rootsys import (
+    _epsilon_positive_roots,
+    _epsilon_simple_roots,
+    _solve_exact,
+    fraction_root_coords,
+)
 
 A1 = build_root_system("A1")
 A2 = build_root_system("A2")
@@ -209,10 +214,6 @@ CLASSICAL_RANK_8 = (
     [f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
     + [f"C{n}" for n in range(2, 9)] + [f"D{n}" for n in range(4, 9)]
 )
-ORACLE_LABELS = (
-    [f"A{n}" for n in range(1, 6)] + [f"B{n}" for n in range(2, 6)]
-    + [f"C{n}" for n in range(2, 6)] + ["D4", "D5"]
-)
 
 
 def test_psi_i_is_the_coefficient_two_set():
@@ -226,13 +227,44 @@ def test_psi_i_is_the_coefficient_two_set():
     assert count == 136
 
 
-@pytest.mark.parametrize("label", ORACLE_LABELS)
-def test_psi_i_passes_the_lp_oracle(label):
-    # The exact LP re-proves the face condition that psi_i has by construction.
+def _epsilon_psi(t, i):
+    """psi_i from the epsilon realisation alone: the roots, as weights, on
+    which the pairing with omega_i is smallest, when that pairing is
+    -2 (alpha_i, alpha_i)/2, so that theta has coefficient 2 at node i; the
+    empty set otherwise."""
+    simple = _epsilon_simple_roots(t)
+    half_norms = [Fraction(sum(a * a for a in alpha), 2) for alpha in simple]
+    # omega_i in epsilon coordinates: (alpha_j, omega_i) = delta_ij (alpha_j, alpha_j)/2.
+    omega = _solve_exact(list(zip(*simple)), [h * (j == i - 1) for j, h in enumerate(half_norms)])
+    positive = _epsilon_positive_roots(t)
+    pairing = {beta: sum(b * w for b, w in zip(beta, omega))
+               for beta in positive + [tuple(-b for b in beta) for beta in positive]}
+    low = min(pairing.values())
+    if low != -2 * half_norms[i - 1]:
+        return set()
+    out = set()
+    for beta, value in pairing.items():
+        if value == low:
+            weight = [sum(b * a for b, a in zip(beta, alpha)) / h
+                      for alpha, h in zip(simple, half_norms)]
+            assert all(c.denominator == 1 for c in weight)
+            out.add(tuple(int(c) for c in weight))
+    return out
+
+
+@pytest.mark.parametrize("label", CLASSICAL_RANK_8)
+def test_psi_i_is_the_face_omega_i_minimises_in_the_epsilon_realisation(label):
+    # A face certificate that shares no code with the library: omega_i and the
+    # roots are vectors of the epsilon basis, and psi_i must be exactly the
+    # roots on which omega_i is smallest wherever theta has coefficient 2 at i.
     rs = build_root_system(label)
-    points = adjoint_char(rs).entries
+    faces = 0
     for i in range(1, rs.rank + 1):
-        assert exposes(psi_i(rs, i), points), f"{label} psi_{i}"
+        expected = _epsilon_psi(rs.lie_type, i)
+        assert psi_i(rs, i) == expected, f"{label} psi_{i}"
+        faces += bool(expected)
+    family, rank = rs.lie_type
+    assert faces == {"A": 0, "B": rank - 1, "C": rank - 1, "D": rank - 3}[family]
 
 
 def _pairing(rs, mu):
@@ -263,15 +295,56 @@ def test_every_face_of_a_01_weight_passes_the_face_test():
     assert count == 542
 
 
-def test_face_test_agrees_with_the_lp_on_random_subsets():
+def _orbit_faces(rs):
+    """Every face of the adjoint weight polytope, as its set of adjoint weights.
+    A dominant b with support S is largest exactly on F_S, the weights x with
+    theta - x of root coordinate 0 at every node of S, since theta is the
+    largest in every root coordinate.  Every face is exposed by some weight
+    and every weight is W-conjugate to a dominant one, so the faces are the
+    empty set, the whole set and the Weyl orbits of F_S for nonempty S."""
+    table = rs.adjoint_coords
+    theta = rs.highest_root.coords
+    faces = {frozenset(), frozenset(table)}
+    for support in _subsets(range(rs.rank)):
+        start = frozenset(x for x, c in table.items() if all(c[j] == theta[j] for j in support))
+        if start in faces:  # the whole set for S empty, or a face already walked
+            continue
+        faces.add(start)
+        walk = [start]
+        for face in walk:  # grows as new faces are found
+            for i, alpha in enumerate(rs.cartan):
+                image = frozenset(tuple(a - x[i] * b for a, b in zip(x, alpha)) for x in face)
+                if image not in faces:
+                    faces.add(image)
+                    walk.append(image)
+    return faces
+
+
+# The segment, the hexagon, the square (B2 and C2) and the cuboctahedron, with
+# the empty face and the whole set: 2 + 2, 6 + 6 + 2, 4 + 4 + 2, 12 + 24 + 14 + 2.
+EVERY_SUBSET_FACES = [("A1", 4), ("A2", 14), ("B2", 10), ("C2", 10), ("A3", 52)]
+
+
+@pytest.mark.parametrize("label,count", EVERY_SUBSET_FACES, ids=[x for x, _ in EVERY_SUBSET_FACES])
+def test_the_face_test_accepts_exactly_the_orbit_faces_on_every_subset(label, count):
+    rs = build_root_system(label)
+    faces = _orbit_faces(rs)
+    assert len(faces) == count
+    for subset in _subsets(sorted(rs.adjoint_coords)):
+        expected = subset in faces
+        assert check_polytope_condition(rs, subset) == expected, f"{label} {sorted(subset)}"
+
+
+def test_face_test_agrees_with_the_orbit_faces_on_random_subsets():
     rng = random.Random(20251018)
     faces = 0
     for label in ("A1", "A2", "A3", "B2", "B3", "C2", "C3", "D4"):
         rs = build_root_system(label)
-        weights = sorted(adjoint_char(rs).entries)
+        weights = sorted(rs.adjoint_coords)
+        true_faces = _orbit_faces(rs)
         for _ in range(40):
             subset = frozenset(rng.sample(weights, rng.randint(1, min(4, len(weights)))))
-            expected = exposes(subset, weights)
+            expected = subset in true_faces
             assert check_polytope_condition(rs, subset) == expected, f"{label} {sorted(subset)}"
             faces += expected
     assert 0 < faces < 320
