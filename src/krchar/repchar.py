@@ -4,14 +4,16 @@ Weight multiplicities come from Freudenthal's formula on the dominant
 weights, the only multiplicities memoised.  One signed Racah-Speiser kernel
 computes every tensor product from them, walking one Weyl orbit at a time:
 two simples, and the graded Hom coefficients, which one memoised recursion
-folds into V(lam) by Newton's identity on Adams operations, so neither a
-power nor a full weight system is ever built.  ``freudenthal``, the full
-character, the power DP, the convolution of two WeightChars and
-``iso_decompose`` are kept only as independent oracles for the tests;
-``verify`` reads simple multiplicities off a product's dominant
-multiplicities through the Weyl numerator and builds no constituent's
-character.  All intermediate characters may be virtual (signed);
-genuineness is asserted only where a result promises an actual module.
+folds into V(lam) by Newton's identity on Adams operations, so the kernel
+builds neither a power nor a full weight system.  ``freudenthal`` builds a
+full character only for the oracles and for ``verify``'s rank-2 tensor
+check, which convolves the two factors' characters and reads simple
+multiplicities off the product's dominant multiplicities through the Weyl
+numerator, building no constituent's character.  The power DP, the
+convolution of two WeightChars and ``iso_decompose`` are kept only as
+independent oracles for the tests.  All intermediate characters may be
+virtual (signed); genuineness is asserted only where a result promises an
+actual module.
 """
 
 from __future__ import annotations
@@ -272,8 +274,7 @@ def dominant_multiplicities(rs: RootSystem, lam) -> Mapping[Weight, int]:
             mults[mu] = 1
             continue
         num = 0
-        zeros = tuple(i for i, c in enumerate(mu) if not c)
-        for root, count in stabilizer_orbits(rs.lie_type, zeros):
+        for root, count in stabilizer_orbits(rs.lie_type, tuple(map(operator.not_, mu))):
             rw = root.weight
             pair = sum(map(operator.mul, root.md, mu))
             step = 2 * root.half_norm
@@ -305,11 +306,11 @@ def dominant_multiplicities(rs: RootSystem, lam) -> Mapping[Weight, int]:
 def freudenthal(rs: RootSystem, lam) -> WeightChar:
     """Character of the simple module V(lam): each dominant multiplicity
     spread over its Weyl orbit, walked by :func:`weyl_orbit`.  Only the
-    oracles build it; the Racah-Speiser kernel walks the orbits itself."""
-    nodes = range(rs.rank)
+    oracles and ``verify``'s rank-2 tensor check build it; the Racah-Speiser
+    kernel walks the orbits itself."""
     full: dict[Weight, int] = {}
     for mu, m in dominant_multiplicities(rs, lam).items():
-        full.update(dict.fromkeys(weyl_orbit(rs, mu, nodes), m))
+        full.update(dict.fromkeys(weyl_orbit(rs, mu), m))
     return WeightChar._wrap(full)  # dominant_multiplicities refuses m <= 0
 
 
@@ -366,12 +367,11 @@ def _racah_speiser(rs: RootSystem, dominant: Mapping, start: Mapping, out: dict)
     Entries that cancel stay in ``out`` as zeros.
     """
     rows = rs.cartan_rows
-    nodes = range(rs.rank)
     starts = start.items()
     for mu, m in dominant.items():
         if min(mu) < 0:  # weyl_orbit refuses it too, but names no caller
             raise AssertionError(f"Racah-Speiser kernel given the non-dominant weight {mu}")
-        for w in weyl_orbit(rs, mu, nodes):
+        for w in weyl_orbit(rs, mu):
             for shifted, k in starts:
                 x = list(map(operator.add, shifted, w))
                 if 0 in x:

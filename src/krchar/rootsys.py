@@ -9,12 +9,12 @@ form is normalised so that short roots have squared length 2.
 :func:`dominant_weights_below` is the one enumeration of the dominant weights
 of a simple module, and the Freudenthal multiplicities start from it; the
 Gamma sets of :mod:`poset` walk by psi-steps instead and never call it.
-:func:`weyl_orbit` is the one orbit walk: the Racah-Speiser kernel,
-Freudenthal's spread, the stabilizer orbits of the roots and the Weyl-group
-table of ``verify`` use it.  It records the second walk of each orbit shape
-(type, nodes, zero pattern) and replays it for every later weight of that
-shape; the recorded walks are root-system data and live as long as the
-process.
+:func:`weyl_orbit` is the one orbit walk, of a dominant weight under the
+whole Weyl group: the Racah-Speiser kernel, Freudenthal's spread and the
+Weyl-group table of ``verify`` use it.  It records the second walk of each
+orbit shape (type, zero pattern) and replays it for every later weight of
+that shape; the recorded walks are root-system data and live as long as the
+process.  :func:`stabilizer_orbits` walks no orbit.
 """
 
 from __future__ import annotations
@@ -235,49 +235,44 @@ def _cached_root_system(t: LieType) -> RootSystem:
     return RootSystem(t)
 
 
-# (type, nodes, zero pattern of x at nodes) -> the recorded walk of
-# :func:`weyl_orbit`: the walk index of each new element's parent, the node
-# it reflected at, and the sign of every element; None while the key has
-# been walked only once.  Root-system data like :func:`stabilizer_orbits`,
-# not a memo of results, so clear_memo_caches leaves it; about 6 bytes per
-# orbit element (7 above rank 256).  Threads share it with no lock: an entry
-# is only ever set whole, to None or to a finished record, so a race costs a
-# walk, never a wrong orbit.
+# (type, zero pattern of x) -> the recorded walk of :func:`weyl_orbit`: the
+# walk index of each new element's parent, the node it reflected at, and the
+# sign of every element; None while the key has been walked only once.
+# Root-system data like :func:`stabilizer_orbits`, not a memo of results, so
+# clear_memo_caches leaves it; about 6 bytes per orbit element (7 above rank
+# 256).  Threads share it with no lock: an entry is only ever set whole, to
+# None or to a finished record, so a race costs a walk, never a wrong orbit.
 _orbit_programs: dict[tuple, tuple[array, array, array] | None] = {}
 
 
-def weyl_orbit(rs: RootSystem, x, nodes) -> dict[Weight, int]:
-    """The orbit of x under <s_i : i in nodes>, in walk order, each element
+def weyl_orbit(rs: RootSystem, x) -> dict[Weight, int]:
+    """The Weyl orbit of the dominant weight x, in walk order, each element
     mapped to (-1)^(number of reflections the walk took from x).
 
-    x must have no negative coordinate at ``nodes``; any other x is refused
-    as an internal error.  The walk reflects only at positive coordinates,
-    so it only steps down, yet it reaches the whole orbit: any other element
-    has a negative coordinate at some node, and reflecting there climbs
-    toward x, so reversed, that chain steps down.  For a regular x such as
-    rho every step down makes w one longer, so the sign is sgn(w).
+    Any x with a negative coordinate is refused as an internal error.  The
+    walk reflects only at positive coordinates, so it only steps down, yet
+    it reaches the whole orbit: any other element has a negative coordinate
+    at some node, and reflecting there climbs toward x, so reversed, that
+    chain steps down.  For a regular x such as rho every step down makes w
+    one longer, so the sign is sgn(w).
 
-    The second walk for each zero pattern Z of x at J = ``nodes`` is
-    recorded and later x with the same pattern replay it.  The first walk
-    records nothing: recording adds 10-20 % to a walk, and most patterns of
-    one large product never recur.  For w in W_J and i in J,
-    <wx, alpha_i^vee> = <x, w^-1 alpha_i^vee>, and w^-1 alpha_i^vee is a
-    coroot of the subsystem of J: positive or negative, and orthogonal to x
-    exactly when it lies in the subsystem of Z, since x >= 0 at J.  So
-    whether the walk reflects at i depends only on w and Z.  The stabilizer
-    of x in W_J is W_Z (Humphreys, Introduction to Lie Algebras, 10.3), so
-    whether wx = w'x depends only on w, w' and Z too.  The walk of any x
-    with pattern Z takes the same steps in the same order, and the replay
-    applies them with no membership probe.
+    The second walk for each zero pattern Z of x is recorded and later x
+    with the same pattern replay it.  The first walk records nothing:
+    recording adds 10-20 % to a walk, and most patterns of one large product
+    never recur.  For w in W and a node i, <wx, alpha_i^vee> =
+    <x, w^-1 alpha_i^vee>, and w^-1 alpha_i^vee is a coroot: positive or
+    negative, and orthogonal to x exactly when it lies in the subsystem of
+    Z, since x is dominant.  So whether the walk reflects at i depends only
+    on w and Z.  The stabilizer of x is W_Z (Humphreys, Introduction to Lie
+    Algebras, 10.3), so whether wx = w'x depends only on w, w' and Z too.
+    The walk of any x with pattern Z takes the same steps in the same order,
+    and the replay applies them with no membership probe.
     """
-    nodes = tuple(nodes)
-    at = [x[i] for i in nodes]
-    # Before the lookup: such an x shares its zero pattern with weights that
-    # are >= 0 at nodes, and its own walk covers only part of its orbit.
-    if at and min(at) < 0:
-        raise AssertionError(
-            f"weyl_orbit given {x}, negative at one of the nodes {list(nodes)}")
-    key = (rs.lie_type, nodes, tuple(map(not_, at)))
+    # Before the lookup: such an x shares its zero pattern with dominant
+    # weights, and its own walk covers only part of its orbit.
+    if min(x) < 0:
+        raise AssertionError(f"weyl_orbit given the non-dominant weight {x}")
+    key = (rs.lie_type, tuple(map(not_, x)))
     links = rs.reflection_links
     program = _orbit_programs.get(key)
     if program:
@@ -298,6 +293,7 @@ def weyl_orbit(rs: RootSystem, x, nodes) -> dict[Weight, int]:
     parents = array("I")
     reflected = array("B" if rs.rank <= 256 else "H")  # one byte while a node fits
     record_parent, record_node = parents.append, reflected.append
+    nodes = range(rs.rank)
     level = [x]
     first = 0  # walk index of level[0]
     sign = 1
@@ -327,32 +323,31 @@ def weyl_orbit(rs: RootSystem, x, nodes) -> dict[Weight, int]:
 
 
 @lru_cache(maxsize=None)
-def stabilizer_orbits(t: LieType, zeros: tuple[int, ...]) -> tuple[tuple[PositiveRoot, int], ...]:
-    """One positive root from each orbit of W_Z = <s_j : j in zeros> on the
+def stabilizer_orbits(t: LieType, zeros: tuple[bool, ...]) -> tuple[tuple[PositiveRoot, int], ...]:
+    """One positive root from each orbit of W_Z = <s_j : zeros[j]> on the
     roots up to sign, with the number of roots in that orbit and its negative.
 
-    For a dominant mu with zero coordinates Z, W_Z is the stabilizer of mu.
-    It maps a positive root beta with (mu, beta) > 0 to another (the pairing
-    is kept and is positive only on positive roots), so the orbit and its
-    negative are disjoint, 2|O| roots.  A root orthogonal to mu lies in the
-    subsystem of Z and s_beta sends it to its negative in the same orbit, so
-    the orbit holds |O| roots.  The counts add up to 2|positive roots|.  The
-    first root met in an orbit, from the highest down, has no negative
-    coordinate at Z (s_j beta would be a higher root), so :func:`weyl_orbit`
-    walks the orbit from it.  Kept per (type, zeros) like the root systems:
-    it is root-system data, and computed only for the zero sets a caller meets.
+    For a dominant mu with zero pattern ``zeros``, W_Z is the stabilizer of
+    mu.  It maps a positive root beta with (mu, beta) > 0 to another (the
+    pairing is kept and is positive only on positive roots), so the orbit
+    and its negative are disjoint, 2|O| roots.  A root orthogonal to mu lies
+    in the subsystem of Z and s_beta sends it to its negative in the same
+    orbit, so the orbit holds |O| roots: two roots per positive root of the
+    orbit either way.  Each W_Z-orbit meets the closed chamber of Z (no
+    negative coordinate at Z) once (Humphreys, Introduction to Lie Algebras,
+    10.3).  Descending at Z raises a positive root's height, so it lands on
+    the orbit's highest root, the first met from the highest down; no orbit
+    is walked.  Kept per (type, zeros) like the root systems: it is
+    root-system data, and computed only for the patterns a caller meets.
     """
     rs = _cached_root_system(t)
-    seen: set[Weight] = set()
-    out = []
+    nodes = [j for j, z in enumerate(zeros) if z]
+    counts: dict[Weight, int] = {}
     for root in reversed(rs.positive_roots):
-        if root.weight in seen:
-            continue
-        orbit = weyl_orbit(rs, root.weight, zeros)
-        seen.update(orbit)
-        negative = tuple(-c for c in root.weight)
-        out.append((root, len(orbit) if negative in orbit else 2 * len(orbit)))
-    return tuple(out)
+        top = _descend(rs, root.weight, nodes)[0]
+        counts[top] = counts.get(top, 0) + 2
+    return tuple((root, counts[root.weight]) for root in reversed(rs.positive_roots)
+                 if root.weight in counts)
 
 
 def build_root_system(t: LieType | str) -> RootSystem:
@@ -363,19 +358,21 @@ def build_root_system(t: LieType | str) -> RootSystem:
     return _cached_root_system(t)
 
 
-def _descend(rs: RootSystem, xi) -> tuple[Weight, int]:
-    """Move xi into the dominant chamber by simple reflections.
+def _descend(rs: RootSystem, xi, nodes=None) -> tuple[Weight, int]:
+    """Move xi by simple reflections at ``nodes``, all by default, until it
+    has no negative coordinate there.
 
-    Returns (dom, parity) where parity is (-1)^(number of reflections).
+    Returns (x, parity) where parity is (-1)^(number of reflections).
     """
-    n = rs.rank
     coords = list(xi)
     rows = rs.cartan_rows
     parity = 1
     moved = True
+    if nodes is None:
+        nodes = range(rs.rank)
     while moved:
         moved = False
-        for i in range(n):
+        for i in nodes:
             ci = coords[i]
             if ci < 0:
                 for j, a in rows[i]:

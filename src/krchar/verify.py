@@ -322,7 +322,7 @@ def _weyl_shifts(rs) -> tuple[tuple[Weight, int], ...]:
     the orbit of rho, which :func:`weyl_orbit` lists with each sign.
     """
     rho = (1,) * rs.rank
-    return tuple((sub_weights(rho, x), s) for x, s in weyl_orbit(rs, rho, range(rs.rank)).items())
+    return tuple((sub_weights(rho, x), s) for x, s in weyl_orbit(rs, rho).items())
 
 
 def _weyl_numerator(rs, product: dict[int, int], shifts, conjugates: dict,

@@ -234,7 +234,7 @@ def test_stabilizer_orbit_freudenthal_matches_the_full_root_sum(label):
         clear_memo_caches()
         got = dominant_multiplicities(rs, lam)
         assert list(got.items()) == list(_full_root_sum_multiplicities(rs, lam).items()), lam
-        zero_sets.update(tuple(i for i, c in enumerate(mu) if not c) for mu in got)
+        zero_sets.update(tuple(c == 0 for c in mu) for mu in got)
     assert len(zero_sets) > 1
     for zeros in zero_sets:
         orbits = stabilizer_orbits(rs.lie_type, zeros)

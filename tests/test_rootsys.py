@@ -20,6 +20,7 @@ from krchar.rootsys import (
     integral_root_coords,
     omega_weight,
     parse_lie_type,
+    stabilizer_orbits,
     sub_weights,
     weyl_dim,
     weyl_orbit,
@@ -257,7 +258,7 @@ def test_weyl_orbit_of_rho_is_the_weyl_group_with_its_signs(label, order):
     # counts on its way back up, and half of W is odd.
     rs = build_root_system(label)
     rho = (1,) * rs.rank
-    orbit = weyl_orbit(rs, rho, range(rs.rank))
+    orbit = weyl_orbit(rs, rho)
     assert len(orbit) == order
     assert next(iter(orbit)) == rho and orbit[rho] == 1
     assert sum(orbit.values()) == 0
@@ -265,16 +266,11 @@ def test_weyl_orbit_of_rho_is_the_weyl_group_with_its_signs(label, order):
         assert _descend(rs, x) == (rho, sign)
 
 
-def test_weyl_orbit_walks_only_the_given_nodes():
-    # Under <s_1> alone, the A2 weight (1, 0) has the orbit {(1, 0), (-1, 1)}.
-    a2 = build_root_system("A2")
-    assert weyl_orbit(a2, (1, 0), (0,)) == {(1, 0): 1, (-1, 1): -1}
-    assert weyl_orbit(a2, (1, 0), (1,)) == {(1, 0): 1}
-
-
 def _breadth_first_orbit(rs, x, nodes):
-    """Reference: the breadth-first walk with a membership probe for every
-    reflected weight, which weyl_orbit runs at most twice per zero pattern."""
+    """Reference: the orbit of x under <s_i : i in nodes>, for x with no
+    negative coordinate at nodes, by the breadth-first walk with a membership
+    probe for every reflected weight, which weyl_orbit runs at most twice per
+    zero pattern.  Each element is mapped to the sign of its level."""
     orbit = {x: 1}
     level = [x]
     sign = 1
@@ -293,6 +289,58 @@ def _breadth_first_orbit(rs, x, nodes):
     return orbit
 
 
+def test_descend_reflects_only_at_the_given_nodes():
+    # Under <s_1> alone, the A2 weights (1, 0) and (-1, 1) are one orbit,
+    # and (1, -1) and (-1, 0) another: the negative coordinate at node 2
+    # is never reflected at.  Under <s_2> alone, (1, 0) is fixed.
+    a2 = build_root_system("A2")
+    assert _descend(a2, (-1, 1), (0,)) == ((1, 0), -1)
+    assert _descend(a2, (1, 0), (1,)) == ((1, 0), 1)
+    assert _descend(a2, (-1, 0), (0,)) == ((1, -1), -1)
+    assert _descend(a2, (1, -1), (0,)) == ((1, -1), 1)
+    # At every node set J, the result has no negative coordinate at J, x lies
+    # in its orbit under W_J, and the parity is the sign of the level at
+    # which the walk down from it meets x: each reflection at a negative
+    # coordinate climbs one level.
+    for label in ("A3", "B3", "C3", "D4"):
+        rs = build_root_system(label)
+        n = rs.rank
+        for size in range(n + 1):
+            for nodes in combinations(range(n), size):
+                for x in product(range(-2, 3), repeat=n):
+                    top, parity = _descend(rs, x, nodes)
+                    assert all(top[i] >= 0 for i in nodes), (label, nodes, x)
+                    orbit = _breadth_first_orbit(rs, top, nodes)
+                    assert orbit.get(x) == parity, (label, nodes, x)
+
+
+def _walked_stabilizer_orbits(rs, zeros):
+    """Reference: the orbits of W_Z on the roots, walked from the highest
+    root down with _breadth_first_orbit; |O| roots when the orbit holds its
+    negative, else 2|O| with the negative orbit."""
+    nodes = [j for j, z in enumerate(zeros) if z]
+    seen = set()
+    out = []
+    for root in reversed(rs.positive_roots):
+        if root.weight not in seen:
+            orbit = _breadth_first_orbit(rs, root.weight, nodes)
+            seen.update(orbit)
+            negative = tuple(-c for c in root.weight)
+            out.append((root, len(orbit) if negative in orbit else 2 * len(orbit)))
+    return out
+
+
+@pytest.mark.parametrize("label", [f"A{n}" for n in range(1, 9)] + [
+    f"{family}{n}" for family in "BC" for n in range(2, 9)] + [f"D{n}" for n in range(4, 9)])
+def test_stabilizer_orbits_group_the_walked_orbits(label):
+    # The same representatives, counts and order as walking each orbit, on
+    # every zero pattern; computed afresh, not read from the lru_cache.
+    rs = build_root_system(label)
+    for zeros in product((False, True), repeat=rs.rank):
+        got = stabilizer_orbits.__wrapped__(rs.lie_type, zeros)
+        assert list(got) == _walked_stabilizer_orbits(rs, zeros), zeros
+
+
 @pytest.fixture
 def fresh_programs(monkeypatch):
     """An empty table of recorded walks for the test, the shared one after."""
@@ -301,38 +349,39 @@ def fresh_programs(monkeypatch):
     return table
 
 
+def test_stabilizer_orbits_walk_no_orbit(fresh_programs):
+    # Every zero pattern of D5, computed afresh: no weyl_orbit call, so the
+    # table of recorded walks gains no key.
+    rs = build_root_system("D5")
+    for zeros in product((False, True), repeat=5):
+        stabilizer_orbits.__wrapped__(rs.lie_type, zeros)
+    assert fresh_programs == {}
+
+
 ORBIT_LABELS = [f"A{n}" for n in range(1, 6)] + [f"{family}{n}" for family in "BC"
                                                  for n in range(2, 6)] + ["D4", "D5"]
 
 
 @pytest.mark.parametrize("label", ORBIT_LABELS)
 def test_a_replayed_walk_lists_the_walk_in_its_order_with_its_signs(label, fresh_programs):
-    # Every zero pattern Z at the full node set and at every zero set that
-    # stabilizer_orbits walks (any subset J of the nodes).  The first weight
-    # with a pattern is walked, the second is walked and recorded, the third
-    # replays the record; the later two have other positive coordinates, and
-    # all three have coordinates off J of any sign, which the walk never
-    # reflects at.
+    # Every zero pattern Z of a dominant weight.  The first weight with a
+    # pattern is walked, the second is walked and recorded, the third
+    # replays the record; the later two have other positive coordinates.
     rs = build_root_system(label)
     n = rs.rank
+    nodes = range(n)
     rng = random.Random(f"orbit replay {label}")
     replays = 0
-    for size in range(n + 1):
-        for nodes in combinations(range(n), size):
-            walk_nodes = range(n) if size == n else nodes
-            for zeros in product((False, True), repeat=size):
-                weights = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(3)]
-                for k, x in enumerate(weights):
-                    for i, z in zip(nodes, zeros):
-                        x[i] = 0 if z else 1 if k == 0 else rng.randint(2, 4)
-                before = len(fresh_programs)
-                for k, x in enumerate(map(tuple, weights)):
-                    got = weyl_orbit(rs, x, walk_nodes)
-                    assert list(got.items()) == list(_breadth_first_orbit(rs, x, nodes).items())
-                    assert len(fresh_programs) == before + 1
-                    assert (list(fresh_programs.values())[-1] is None) == (k == 0)
-                replays += 1
-    assert replays == 3 ** n
+    for zeros in product((False, True), repeat=n):
+        before = len(fresh_programs)
+        for k in range(3):
+            x = tuple(0 if z else 1 if k == 0 else rng.randint(2, 4) for z in zeros)
+            got = weyl_orbit(rs, x)
+            assert list(got.items()) == list(_breadth_first_orbit(rs, x, nodes).items())
+            assert len(fresh_programs) == before + 1
+            assert (list(fresh_programs.values())[-1] is None) == (k == 0)
+        replays += 1
+    assert replays == 2 ** n
 
 
 def test_a_multiple_of_a_weight_replays_its_walk(fresh_programs):
@@ -341,11 +390,11 @@ def test_a_multiple_of_a_weight_replays_its_walk(fresh_programs):
     rs = build_root_system("D5")
     nodes = range(5)
     for i in range(5):
-        weyl_orbit(rs, omega_weight(5, (i + 1, 1)), nodes)
+        weyl_orbit(rs, omega_weight(5, (i + 1, 1)))
         keys = list(fresh_programs)
         for m in (3, 2):
             x = omega_weight(5, (i + 1, m))
-            got = weyl_orbit(rs, x, nodes)
+            got = weyl_orbit(rs, x)
             assert list(fresh_programs) == keys and fresh_programs[keys[-1]] is not None
             assert list(got.items()) == list(_breadth_first_orbit(rs, x, nodes).items())
 
@@ -366,7 +415,7 @@ def test_a_walk_records_nodes_past_255(fresh_programs):
                                for i in range(n)))
     for m in (1, 2, 3):  # walked, walked and recorded, replayed
         x = omega_weight(n, (n, m))
-        got = weyl_orbit(rs, x, range(n))
+        got = weyl_orbit(rs, x)
         assert len(got) == n + 1
         assert list(got.items()) == list(_breadth_first_orbit(rs, x, range(n)).items())
     [(parents, reflected, signs)] = fresh_programs.values()
@@ -389,7 +438,7 @@ def test_threads_racing_on_the_table_get_the_reference_walks(fresh_programs):
     def worker(shift):
         for _ in range(5):
             for x in weights[shift:] + weights[:shift]:
-                if list(weyl_orbit(rs, x, nodes).items()) != expected[x]:
+                if list(weyl_orbit(rs, x).items()) != expected[x]:
                     wrong.append(x)
             fresh_programs.clear()
 
@@ -411,8 +460,8 @@ def test_clearing_the_memo_tables_keeps_the_recorded_walks(fresh_programs):
     from krchar.repchar import clear_memo_caches
 
     rs = build_root_system("B3")
-    weyl_orbit(rs, (1, 0, 2), range(3))
-    weyl_orbit(rs, (2, 0, 1), range(3))
+    weyl_orbit(rs, (1, 0, 2))
+    weyl_orbit(rs, (2, 0, 1))
     recorded = dict(fresh_programs)
     assert None not in recorded.values()
     clear_memo_caches()
@@ -420,21 +469,19 @@ def test_clearing_the_memo_tables_keeps_the_recorded_walks(fresh_programs):
 
 
 def test_weyl_orbit_refuses_a_negative_coordinate_before_the_lookup(fresh_programs):
-    # (1, -1) has the zero pattern of (1, 1) at both A2 nodes: replaying the
-    # walk of (1, 1) on it, or recording its partial walk, would be wrong.
+    # (1, -1) has the zero pattern of (1, 1): replaying the walk of (1, 1)
+    # on it, or recording its partial walk, would be wrong.
     a2 = build_root_system("A2")
-    with pytest.raises(AssertionError, match="negative at one of the nodes"):
-        weyl_orbit(a2, (1, -1), range(2))
+    with pytest.raises(AssertionError, match="non-dominant weight"):
+        weyl_orbit(a2, (1, -1))
     assert fresh_programs == {}
     for x in ((1, 1), (2, 1)):  # walked, then recorded
-        weyl_orbit(a2, x, range(2))
+        weyl_orbit(a2, x)
     recorded = dict(fresh_programs)
     assert None not in recorded.values()
-    with pytest.raises(AssertionError, match="negative at one of the nodes"):
-        weyl_orbit(a2, (1, -1), range(2))
+    with pytest.raises(AssertionError, match="non-dominant weight"):
+        weyl_orbit(a2, (1, -1))
     assert fresh_programs == recorded
-    # A negative coordinate off the nodes is never reflected at.
-    assert weyl_orbit(a2, (1, -1), (0,)) == {(1, -1): 1, (-1, 0): -1}
 
 
 # -- dominant weights below a weight -------------------------------------------
