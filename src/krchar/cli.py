@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 
@@ -25,8 +24,6 @@ from .repchar import IsoChar, ModuleSpec, active_tensor_cache, tensor_decompose
 from .rootsys import (LieType, build_root_system, parse_lie_type, require_degree,
                       require_dominant, require_ell)
 from .verify import run_suite
-
-ENV_CACHE = "KRCHAR_CACHE"
 
 
 class InputError(ValueError):
@@ -230,10 +227,10 @@ def _run_tensor(args: argparse.Namespace) -> tuple[int, str]:
     lam, nu = weights
     require_dominant(rs, lam)
     require_dominant(rs, nu)
-    # $KRCHAR_CACHE wins over --cache; the store is read only after the
-    # input checks, and rewritten only when this call succeeded and computed
-    # a decomposition or dropped a corrupt line.
-    path = os.environ.get(ENV_CACHE) or args.cache_path
+    # The store is read only after the input checks, and rewritten only when
+    # this call succeeded and computed a decomposition or dropped a corrupt
+    # line.
+    path = args.cache_path
     cache = active_tensor_cache()
     before = (cache.computed, cache.dropped)
     if path:
@@ -337,7 +334,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("tensor", _run_tensor, "tensor product decomposition")
     common(p, "latex")
     p.add_argument("--cache", dest="cache_path", default=None,
-                   help=f"persistent multiplicity cache (or ${ENV_CACHE})")
+                   help="persistent multiplicity cache")
     p.add_argument("--weight", action="append", required=True,
                    help="give twice: the two dominant factors")
 

@@ -366,7 +366,7 @@ def _racah_speiser(rs: RootSystem, dominant: Mapping, start: Mapping, out: dict)
     the first wall, checked before it starts and after every reflection.
     Entries that cancel stay in ``out`` as zeros.
     """
-    rows = rs.cartan_rows
+    links = rs.reflection_links
     starts = start.items()
     for mu, m in dominant.items():
         if min(mu) < 0:  # weyl_orbit refuses it too, but names no caller
@@ -385,8 +385,9 @@ def _racah_speiser(rs: RootSystem, dominant: Mapping, start: Mapping, out: dict)
                         key = tuple(x)
                         out[key] = out.get(key, 0) + sign
                         break
-                    for j, a in rows[i]:
-                        x[j] -= c * a
+                    x[i] = -c
+                    for j, b in links[i]:
+                        x[j] += c * b
                     if 0 in x:
                         break
                     sign = -sign

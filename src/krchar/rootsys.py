@@ -9,12 +9,14 @@ form is normalised so that short roots have squared length 2.
 :func:`dominant_weights_below` is the one enumeration of the dominant weights
 of a simple module, and the Freudenthal multiplicities start from it; the
 Gamma sets of :mod:`poset` walk by psi-steps instead and never call it.
-:func:`weyl_orbit` is the one orbit walk, of a dominant weight under the
-whole Weyl group: the Racah-Speiser kernel, Freudenthal's spread and the
-Weyl-group table of ``verify`` use it.  It records the second walk of each
-orbit shape (type, zero pattern) and replays it for every later weight of
-that shape; the recorded walks are root-system data and live as long as the
-process.  :func:`stabilizer_orbits` walks no orbit.
+The orbit walk and the descents reflect through
+``RootSystem.reflection_links``.  :func:`weyl_orbit` is the one orbit walk,
+of a dominant weight under the whole Weyl group: the Racah-Speiser kernel,
+Freudenthal's spread and the Weyl-group table of ``verify`` use it.  It lists
+the orbit with no signs.  It records the second walk of each orbit shape
+(type, zero pattern) and replays it for every later weight of that shape;
+the recorded walks are root-system data and live as long as the process.
+:func:`stabilizer_orbits` walks no orbit.
 """
 
 from __future__ import annotations
@@ -146,15 +148,13 @@ class RootSystem:
         n = lie_type.rank
         self.rank = n
         self.cartan = _cartan_matrix(lie_type)
-        # (j, cartan[i][j]) for the nonzero entries of row i: the coordinates
-        # a simple reflection s_i changes.
-        self.cartan_rows = tuple(
-            tuple((j, a) for j, a in enumerate(row) if a) for row in self.cartan
-        )
-        # (j, -cartan[i][j]) for the nodes j joined to i: s_i negates the
-        # coordinate at i, c, and adds c * -cartan[i][j] at each such j.
+        # (j, -cartan[i][j]) for the nodes j joined to i: the simple
+        # reflection s_i negates the coordinate at i, c, and adds
+        # c * -cartan[i][j] at each such j.  weyl_orbit, _descend and the
+        # Racah-Speiser kernel reflect this way.
         self.reflection_links = tuple(
-            tuple((j, -a) for j, a in row if j != i) for i, row in enumerate(self.cartan_rows)
+            tuple((j, -a) for j, a in enumerate(row) if a and j != i)
+            for i, row in enumerate(self.cartan)
         )
         self.half_lengths = _half_lengths(lie_type)
         self.positive_roots = self._close_positive_roots()
@@ -236,25 +236,24 @@ def _cached_root_system(t: LieType) -> RootSystem:
 
 
 # (type, zero pattern of x) -> the recorded walk of :func:`weyl_orbit`: the
-# walk index of each new element's parent, the node it reflected at, and the
-# sign of every element; None while the key has been walked only once.
-# Root-system data like :func:`stabilizer_orbits`, not a memo of results, so
-# clear_memo_caches leaves it; about 6 bytes per orbit element (7 above rank
-# 256).  Threads share it with no lock: an entry is only ever set whole, to
-# None or to a finished record, so a race costs a walk, never a wrong orbit.
-_orbit_programs: dict[tuple, tuple[array, array, array] | None] = {}
+# walk index of each new element's parent and the node it reflected at; None
+# while the key has been walked only once.  Root-system data like
+# :func:`stabilizer_orbits`, not a memo of results, so clear_memo_caches
+# leaves it; 6 bytes per orbit element.  Threads share it with no lock: an
+# entry is only ever set whole, to None or to a finished record, so a race
+# costs a walk, never a wrong orbit.
+_orbit_programs: dict[tuple, tuple[array, array] | None] = {}
 
 
-def weyl_orbit(rs: RootSystem, x) -> dict[Weight, int]:
-    """The Weyl orbit of the dominant weight x, in walk order, each element
-    mapped to (-1)^(number of reflections the walk took from x).
+def weyl_orbit(rs: RootSystem, x) -> list[Weight]:
+    """The Weyl orbit of the dominant weight x, in walk order.
 
     Any x with a negative coordinate is refused as an internal error.  The
     walk reflects only at positive coordinates, so it only steps down, yet
     it reaches the whole orbit: any other element has a negative coordinate
     at some node, and reflecting there climbs toward x, so reversed, that
-    chain steps down.  For a regular x such as rho every step down makes w
-    one longer, so the sign is sgn(w).
+    chain steps down.  The walk is breadth first, so it lists the orbit
+    level by level, by the number of reflections taken from x.
 
     The second walk for each zero pattern Z of x is recorded and later x
     with the same pattern replay it.  The first walk records nothing:
@@ -275,11 +274,10 @@ def weyl_orbit(rs: RootSystem, x) -> dict[Weight, int]:
     key = (rs.lie_type, tuple(map(not_, x)))
     links = rs.reflection_links
     program = _orbit_programs.get(key)
+    walk = [x]
+    append = walk.append
     if program:
-        parents, reflected, signs = program
-        walk = [x]
-        append = walk.append
-        for p, i in zip(parents, reflected):
+        for p, i in zip(*program):
             y = walk[p]
             c = y[i]
             z = list(y)
@@ -287,39 +285,30 @@ def weyl_orbit(rs: RootSystem, x) -> dict[Weight, int]:
             for j, b in links[i]:
                 z[j] += c * b
             append(tuple(z))
-        return dict(zip(walk, signs))
+        return walk
     record = key in _orbit_programs  # walked once before
-    orbit = {x: 1}
+    seen = {x}
     parents = array("I")
-    reflected = array("B" if rs.rank <= 256 else "H")  # one byte while a node fits
+    reflected = array("H")
     record_parent, record_node = parents.append, reflected.append
     nodes = range(rs.rank)
-    level = [x]
-    first = 0  # walk index of level[0]
-    sign = 1
-    while level:  # breadth first: the elements of a level share a sign
-        sign = -sign
-        below = []
-        push = below.append
-        for p, y in enumerate(level, first):
-            for i in nodes:
-                c = y[i]
-                if c > 0:
-                    z = list(y)
-                    z[i] = -c
-                    for j, b in links[i]:
-                        z[j] += c * b
-                    z = tuple(z)
-                    if z not in orbit:
-                        orbit[z] = sign
-                        push(z)
-                        if record:
-                            record_parent(p)
-                            record_node(i)
-        first += len(level)
-        level = below
-    _orbit_programs[key] = (parents, reflected, array("b", orbit.values())) if record else None
-    return orbit
+    for p, y in enumerate(walk):  # one FIFO: the list grows as it is read
+        for i in nodes:
+            c = y[i]
+            if c > 0:
+                z = list(y)
+                z[i] = -c
+                for j, b in links[i]:
+                    z[j] += c * b
+                z = tuple(z)
+                if z not in seen:
+                    seen.add(z)
+                    append(z)
+                    if record:
+                        record_parent(p)
+                        record_node(i)
+    _orbit_programs[key] = (parents, reflected) if record else None
+    return walk
 
 
 @lru_cache(maxsize=None)
@@ -365,7 +354,7 @@ def _descend(rs: RootSystem, xi, nodes=None) -> tuple[Weight, int]:
     Returns (x, parity) where parity is (-1)^(number of reflections).
     """
     coords = list(xi)
-    rows = rs.cartan_rows
+    links = rs.reflection_links
     parity = 1
     moved = True
     if nodes is None:
@@ -373,10 +362,11 @@ def _descend(rs: RootSystem, xi, nodes=None) -> tuple[Weight, int]:
     while moved:
         moved = False
         for i in nodes:
-            ci = coords[i]
-            if ci < 0:
-                for j, a in rows[i]:
-                    coords[j] -= ci * a
+            c = coords[i]
+            if c < 0:
+                coords[i] = -c
+                for j, b in links[i]:
+                    coords[j] += c * b
                 parity = -parity
                 moved = True
     return tuple(coords), parity

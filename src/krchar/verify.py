@@ -319,10 +319,13 @@ def _weyl_shifts(rs) -> tuple[tuple[Weight, int], ...]:
     """(rho - w rho, sgn w) for every element w of the Weyl group.
 
     rho = (1, ..., 1) is regular, so w -> w rho is a bijection from W onto
-    the orbit of rho, which :func:`weyl_orbit` lists with each sign.
+    the orbit of rho, which :func:`weyl_orbit` lists.  sgn w is the parity
+    of ``_descend`` at w rho: each of its reflections is at a negative
+    coordinate, <w rho, alpha_i^vee> < 0, so s_i w is one shorter than w
+    (Humphreys, Introduction to Lie Algebras, 10.2-10.3), and it stops at rho.
     """
     rho = (1,) * rs.rank
-    return tuple((sub_weights(rho, x), s) for x, s in weyl_orbit(rs, rho).items())
+    return tuple((sub_weights(rho, x), _descend(rs, x)[1]) for x in weyl_orbit(rs, rho))
 
 
 def _weyl_numerator(rs, product: dict[int, int], shifts, conjugates: dict,

@@ -598,33 +598,23 @@ def test_tensor_json(capsys):
     ["gamma", "--algebra", "D4", "--weight", "0,2,0,0"],
     ["psi", "--algebra", "D4", "--node", "2"],
     ["verify", "--suite", "paper"],
-], ids=["gch", "ext", "gamma", "psi", "verify"])
+    ["tensor", "--algebra", "A1", "--weight", "2", "--weight", "2"],
+], ids=["gch", "ext", "gamma", "psi", "verify", "tensor"])
 def test_command_leaves_no_store_behind(argv, tmp_path, monkeypatch, capsys):
-    # Only tensor serves decompositions from the store, so only it touches
-    # the store; the other commands must neither load nor write it.
-    path = tmp_path / "absent.cache"
-    monkeypatch.setenv("KRCHAR_CACHE", str(path))
-    assert main(argv) == 0
-    capsys.readouterr()
-    assert not path.exists()
-
-
-def test_env_var_cache_path(tmp_path, monkeypatch, capsys):
+    # Only tensor --cache names a store; the environment names none, so with
+    # KRCHAR_CACHE set no command loads or writes the file it names, not
+    # even a tensor call that computes its decomposition cold.
     from krchar.repchar import TensorCache, set_active_tensor_cache
 
-    path = tmp_path / "env.cache"
+    path = tmp_path / "absent.cache"
     monkeypatch.setenv("KRCHAR_CACHE", str(path))
     previous = set_active_tensor_cache(TensorCache())
     try:
-        code = main(["tensor", "--algebra", "A1", "--weight", "2", "--weight", "2"])
-        assert code == 0
-        capsys.readouterr()
-        lines = path.read_text().splitlines()
-        assert lines[0] == '{"format": "krchar-tensor-store", "version": 1}'
-        assert '["A",1,[2],[2],[[[0],1],[[2],1],[[4],1]]]' in lines
+        assert main(argv) == 0
     finally:
         set_active_tensor_cache(previous)
-        monkeypatch.delenv("KRCHAR_CACHE")
+    capsys.readouterr()
+    assert not path.exists()
 
 
 # -- the persistent tensor store ------------------------------------------------------

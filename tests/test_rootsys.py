@@ -247,23 +247,39 @@ def test_dominant_conjugate_properties(label):
                     assert _descend(rs, refl) == (dom, -parity)
 
 
-@pytest.mark.parametrize("label,order", [
-    *((f"A{n}", math.factorial(n + 1)) for n in range(1, 6)),
-    *((f"{fam}{n}", 2 ** n * math.factorial(n)) for fam in "BC" for n in range(2, 6)),
-    *((f"D{n}", 2 ** (n - 1) * math.factorial(n)) for n in (4, 5)),
-])
+ORBIT_LABELS = [f"A{n}" for n in range(1, 6)] + [f"{family}{n}" for family in "BC"
+                                                 for n in range(2, 6)] + ["D4", "D5"]
+
+
+def _weyl_group_order(label):
+    family, n = label[0], int(label[1:])
+    if family == "A":
+        return math.factorial(n + 1)
+    return 2 ** (n - (family == "D")) * math.factorial(n)
+
+
+@pytest.mark.parametrize("label,order", [(label, _weyl_group_order(label))
+                                         for label in ORBIT_LABELS])
 def test_weyl_orbit_of_rho_is_the_weyl_group_with_its_signs(label, order):
-    # rho is regular, so its orbit has |W| elements: (n+1)!, 2^n n! or
-    # 2^(n-1) n!.  The sign the walk stores is sgn(w), the parity _descend
-    # counts on its way back up, and half of W is odd.
+    # verify's table of (rho - w rho, sgn w), built from the orbit of the
+    # regular weight rho: |W| distinct shifts, (n+1)!, 2^n n! or 2^(n-1) n!,
+    # the identity first.  sgn w is checked against (-1)^l(w), with l(w)
+    # the number of positive roots beta with (w rho, beta) < 0, which shares
+    # no code with _descend; half of W is odd.
+    from krchar.verify import _weyl_shifts
+
     rs = build_root_system(label)
     rho = (1,) * rs.rank
-    orbit = weyl_orbit(rs, rho)
-    assert len(orbit) == order
-    assert next(iter(orbit)) == rho and orbit[rho] == 1
-    assert sum(orbit.values()) == 0
-    for x, sign in orbit.items():
-        assert _descend(rs, x) == (rho, sign)
+    shifts = _weyl_shifts(rs)
+    assert len(shifts) == order
+    assert len({shift for shift, _ in shifts}) == order
+    assert shifts[0] == ((0,) * rs.rank, 1)
+    assert sum(sign for _, sign in shifts) == 0
+    for shift, sign in shifts:
+        x = sub_weights(rho, shift)
+        inversions = sum(sum(m * c for m, c in zip(root.md, x)) < 0
+                         for root in rs.positive_roots)
+        assert sign == (-1) ** inversions, (label, shift)
 
 
 def _breadth_first_orbit(rs, x, nodes):
@@ -358,15 +374,13 @@ def test_stabilizer_orbits_walk_no_orbit(fresh_programs):
     assert fresh_programs == {}
 
 
-ORBIT_LABELS = [f"A{n}" for n in range(1, 6)] + [f"{family}{n}" for family in "BC"
-                                                 for n in range(2, 6)] + ["D4", "D5"]
-
-
 @pytest.mark.parametrize("label", ORBIT_LABELS)
 def test_a_replayed_walk_lists_the_walk_in_its_order_with_its_signs(label, fresh_programs):
     # Every zero pattern Z of a dominant weight.  The first weight with a
     # pattern is walked, the second is walked and recorded, the third
     # replays the record; the later two have other positive coordinates.
+    # The walk returns no signs: the same order as the reference keeps its
+    # levels, whose parities are the signs the reference maps them to.
     rs = build_root_system(label)
     n = rs.rank
     nodes = range(n)
@@ -377,9 +391,13 @@ def test_a_replayed_walk_lists_the_walk_in_its_order_with_its_signs(label, fresh
         for k in range(3):
             x = tuple(0 if z else 1 if k == 0 else rng.randint(2, 4) for z in zeros)
             got = weyl_orbit(rs, x)
-            assert list(got.items()) == list(_breadth_first_orbit(rs, x, nodes).items())
+            assert got == list(_breadth_first_orbit(rs, x, nodes))
             assert len(fresh_programs) == before + 1
-            assert (list(fresh_programs.values())[-1] is None) == (k == 0)
+            record = list(fresh_programs.values())[-1]
+            assert (record is None) == (k == 0)
+            if record is not None:  # a parent and a node per element after x
+                parents, reflected = record
+                assert len(parents) == len(reflected) == len(got) - 1
         replays += 1
     assert replays == 2 ** n
 
@@ -396,12 +414,13 @@ def test_a_multiple_of_a_weight_replays_its_walk(fresh_programs):
             x = omega_weight(5, (i + 1, m))
             got = weyl_orbit(rs, x)
             assert list(fresh_programs) == keys and fresh_programs[keys[-1]] is not None
-            assert list(got.items()) == list(_breadth_first_orbit(rs, x, nodes).items())
+            assert got == list(_breadth_first_orbit(rs, x, nodes))
 
 
 def test_a_walk_records_nodes_past_255(fresh_programs):
     # The orbit of omega_257 in A257 reflects at node index 256, which no
-    # byte holds.  weyl_orbit reads only the type, the rank and the
+    # byte holds; a record is (parents, nodes) with the nodes always an
+    # array('H').  weyl_orbit reads only the type, the rank and the
     # reflection links (and the oracle the Cartan rows), so a stand-in for
     # the A257 root system, which takes seconds to build, is enough.
     from types import SimpleNamespace
@@ -417,8 +436,10 @@ def test_a_walk_records_nodes_past_255(fresh_programs):
         x = omega_weight(n, (n, m))
         got = weyl_orbit(rs, x)
         assert len(got) == n + 1
-        assert list(got.items()) == list(_breadth_first_orbit(rs, x, range(n)).items())
-    [(parents, reflected, signs)] = fresh_programs.values()
+        assert got == list(_breadth_first_orbit(rs, x, range(n)))
+    [record] = fresh_programs.values()
+    assert len(record) == 2
+    parents, reflected = record
     assert reflected.typecode == "H" and max(reflected) == n - 1
 
 
@@ -432,15 +453,19 @@ def test_threads_racing_on_the_table_get_the_reference_walks(fresh_programs):
     rs = build_root_system("B3")
     nodes = range(3)
     weights = [(a, 0, b) for a in range(1, 4) for b in range(3)]
-    expected = {x: list(_breadth_first_orbit(rs, x, nodes).items()) for x in weights}
+    expected = {x: list(_breadth_first_orbit(rs, x, nodes)) for x in weights}
     wrong = []
 
     def worker(shift):
-        for _ in range(5):
-            for x in weights[shift:] + weights[:shift]:
-                if list(weyl_orbit(rs, x).items()) != expected[x]:
-                    wrong.append(x)
-            fresh_programs.clear()
+        # A worker that raises must fail the test, not only warn.
+        try:
+            for _ in range(5):
+                for x in weights[shift:] + weights[:shift]:
+                    if weyl_orbit(rs, x) != expected[x]:
+                        wrong.append(x)
+                fresh_programs.clear()
+        except Exception as exc:
+            wrong.append(exc)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
