@@ -128,6 +128,7 @@ def checked_psi(rs: RootSystem, psi: PsiSet) -> PsiSet:
 
 # -- the Psi-distance ------------------------------------------------------------
 
+# Unused by the library; kept only because perfbench/tracer.py resolves memo.d_psi.
 _d_psi_cache = register_cache(BoundedCache())
 
 
@@ -138,7 +139,7 @@ def _psi_root_coords(rs: RootSystem, psi: PsiSet) -> tuple[tuple[int, ...], ...]
         if coords is None or sum(coords) >= 0:
             raise ValueError(f"psi element {nu} is not a negative root")
         out.append(coords)
-    return tuple(sorted(out))
+    return tuple(out)
 
 
 def d_psi(rs: RootSystem, psi: PsiSet, lam, mu) -> int | None:
@@ -154,10 +155,6 @@ def d_psi(rs: RootSystem, psi: PsiSet, lam, mu) -> int | None:
     moves = _psi_root_coords(rs, psi)
     if not moves:
         return None
-    key = (rs.lie_type, moves, target)
-    hit = _d_psi_cache.get(key)
-    if hit is not None:
-        return hit if hit >= 0 else None
     n = rs.rank
     frontier = {(0,) * n}
     seen = {(0,) * n}
@@ -169,7 +166,6 @@ def d_psi(rs: RootSystem, psi: PsiSet, lam, mu) -> int | None:
             for move in moves:
                 new = tuple(s + m for s, m in zip(state, move))
                 if new == target:
-                    _d_psi_cache.put(key, steps)
                     return steps
                 # Coordinates only decrease; prune once past the target.
                 if new in seen or any(c < t for c, t in zip(new, target)):
@@ -177,7 +173,6 @@ def d_psi(rs: RootSystem, psi: PsiSet, lam, mu) -> int | None:
                 seen.add(new)
                 nxt.add(new)
         frontier = nxt
-    _d_psi_cache.put(key, -1)
     return None
 
 

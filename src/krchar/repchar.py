@@ -22,6 +22,7 @@ import heapq
 import math
 import operator
 import threading
+import types
 from collections import OrderedDict
 from typing import Mapping
 
@@ -245,8 +246,8 @@ _char_cache = register_cache(BoundedCache())
 
 
 def dominant_multiplicities(rs: RootSystem, lam) -> Mapping[Weight, int]:
-    """Multiplicities of V(lam) at its dominant weights; treat the result as
-    immutable.
+    """Multiplicities of V(lam) at its dominant weights, as a read-only view
+    of the memo entry.
 
     Freudenthal's formula is evaluated on the dominant weights only, from the
     top down (Moody-Patera, Bull. AMS 7, 1982): each m(mu + k beta) is read at
@@ -299,8 +300,9 @@ def dominant_multiplicities(rs: RootSystem, lam) -> Mapping[Weight, int]:
         if m <= 0:
             raise AssertionError(f"non-positive multiplicity at {mu}")
         mults[mu] = m
-    _char_cache.put(key, mults)
-    return mults
+    view = types.MappingProxyType(mults)
+    _char_cache.put(key, view)
+    return view
 
 
 def freudenthal(rs: RootSystem, lam) -> WeightChar:
@@ -519,7 +521,7 @@ def iso_decompose(rs: RootSystem, ch: WeightChar) -> IsoChar:
 
 # -- graded Hom-space coefficients ----------------------------------------------
 
-# The dominant multiplicities of each degree-one layer, which the fold reads.
+# Unused by the library; kept only because perfbench/tracer.py resolves memo.component_char.
 _component_char_cache = register_cache(BoundedCache())
 # Unused by the library; kept only because perfbench/tracer.py resolves memo.power_iso.
 _power_iso_cache = register_cache(BoundedCache())
@@ -529,22 +531,8 @@ _coeff_cache = register_cache(BoundedCache())
 def component_char(rs: RootSystem, comp: tuple[Weight, ...]) -> WeightChar:
     """Character of one degree-one layer, given as its tuple of highest
     weights (an entry of ``ModuleSpec.components``).  Only the oracles build
-    it; the fold reads the layer's dominant multiplicities."""
+    it; the fold sums the layer's dominant multiplicities itself."""
     return sum((freudenthal(rs, w) for w in comp), WeightChar())
-
-
-def _layer_dominant(rs: RootSystem, comp: tuple[Weight, ...]) -> Mapping[Weight, int]:
-    """Multiplicities of one degree-one layer at its dominant weights; treat
-    the result as immutable."""
-    key = (rs.lie_type, comp)
-    hit = _component_char_cache.get(key)
-    if hit is None:
-        hit = {}
-        for w in comp:
-            for mu, m in dominant_multiplicities(rs, w).items():
-                hit[mu] = hit.get(mu, 0) + m
-        _component_char_cache.put(key, hit)
-    return hit
 
 
 def _fold(rs: RootSystem, kind: str, factors: tuple, lam: Weight) -> Mapping[Weight, int]:
@@ -565,11 +553,14 @@ def _fold(rs: RootSystem, kind: str, factors: tuple, lam: Weight) -> Mapping[Wei
     if out is not None:
         return out
     *rest, (comp, d) = factors
-    layer = _layer_dominant(rs, comp).items()
+    layer: dict[Weight, int] = {}  # the layer's multiplicities at its dominant weights
+    for w in comp:
+        for mu, m in dominant_multiplicities(rs, w).items():
+            layer[mu] = layer.get(mu, 0) + m
     total: dict[Weight, int] = {}
     for j in range(1, d + 1):
         sign = -1 if kind == "ext" and j % 2 == 0 else 1
-        adams = {tuple(j * c for c in w): sign * m for w, m in layer}
+        adams = {tuple(j * c for c in w): sign * m for w, m in layer.items()}
         lower = tuple(sorted(rest + [(comp, d - j)] if j < d else rest))
         _racah_speiser(rs, adams, _fold(rs, kind, lower, lam), total)
     out = {}

@@ -290,6 +290,19 @@ def test_gch_shift_equivariance():
         assert g1 == g0.shift((1, 2))
 
 
+def test_a_caller_who_edits_a_graded_character_changes_no_later_answer():
+    lam = omega_weight(5, (3, 2))
+    ms = ModuleSpec.adjoint(D5, 2)
+    base, gamma = _gamma(D5, 3, lam, 2)
+    for compute in (lambda: gch_N(D5, lam, 2),
+                    lambda: gch_P_recursive(D5, ms, base, gamma)):
+        first = compute()
+        expected = GradedChar(first.entries)
+        assert len(expected.entries) == 7
+        first.entries.clear()
+        assert compute() == expected
+
+
 def test_gch_2omega3_d5_ell2():
     got = gch_N(D5, omega_weight(5, (3, 2)), 2)
     entries = {(omega_weight(5, (3, 2)), (0, 0)): 1}
@@ -458,6 +471,17 @@ def test_alternating_sum(rs, node, lam, ell):
     base, gamma = _gamma(rs, node, lam, ell)
     ok, detail = verify_alternating_sum(rs, ms, base, gamma)
     assert ok, detail
+
+
+@pytest.mark.parametrize("degree", [(1, 0), (0, 1), (1, 1)])
+def test_identities_on_a_gamma_set_based_above_degree_zero(degree):
+    # E(-t) signs each Ext entry by its degree gap, so a base of odd total
+    # degree needs no sign of its own.
+    ms = ModuleSpec.adjoint(D4, 2)
+    base = LambdaPoint(omega_weight(4, (2, 2)), degree)
+    gamma = gamma_psi(D4, psi_i(D4, 2), base, 2)
+    assert verify_AE_identity(D4, ms, gamma) == (True, None)
+    assert verify_alternating_sum(D4, ms, base, gamma) == (True, None)
 
 
 def test_gch_cross_path_on_fundamental_pairs():

@@ -251,6 +251,15 @@ def test_dominant_multiplicities_subset():
     assert all(D4.is_dominant(w) for w in dom)
 
 
+def test_dominant_multiplicities_are_a_read_only_view_of_the_memo():
+    # The result is the memo entry itself; a write through it would change
+    # every later character of V(omega_2).
+    lam = omega_weight(5, (2, 1))
+    with pytest.raises(TypeError):
+        dominant_multiplicities(D5, lam)[(0,) * 5] = 99
+    assert sum(freudenthal(D5, lam).entries.values()) == 45
+
+
 # -- tensor products --------------------------------------------------------------
 
 def test_tensor_with_trivial():
